@@ -76,6 +76,13 @@ func run(args []string) error {
 		return err
 	}
 
+	// The handler goes in before start-up work: a signal that arrives while
+	// the model trains, or right after the listener line, waits in the
+	// channel and is served once the server is up, instead of killing the
+	// process with the default action.
+	sigs := make(chan os.Signal, 1)
+	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM, syscall.SIGHUP)
+
 	model, err := loadOrTrain(*loadPath, *seed)
 	if err != nil {
 		return err
@@ -120,8 +127,6 @@ func run(args []string) error {
 	}
 	fmt.Fprintln(os.Stderr)
 
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM, syscall.SIGHUP)
 	for sig := range sigs {
 		if sig != syscall.SIGHUP {
 			fmt.Fprintf(os.Stderr, "agingserve: %s: draining %d sessions\n", sig, srv.Sessions())

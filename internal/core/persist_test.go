@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -268,5 +269,34 @@ func TestEnvelopeChecksumIsCRC32(t *testing.T) {
 	want := crc32.ChecksumIEEE(raw[16 : 16+n])
 	if got := binary.BigEndian.Uint32(raw[12:]); got != want {
 		t.Fatalf("header checksum %08x != CRC-32(payload) %08x", got, want)
+	}
+}
+
+// TestTrainDeterministicAcrossGOMAXPROCS pins that training's concurrent
+// fan-out (sibling subtrees, attribute-elimination trials) never shows in the
+// result: the encoded model is byte-identical whether training runs on one
+// goroutine or fans out across 2 or 8.
+func TestTrainDeterministicAcrossGOMAXPROCS(t *testing.T) {
+	train, _ := agingSeries(t)
+	for _, cfg := range []Config{
+		{Model: ModelM5P},
+		{Model: ModelM5P, LeafMaxAttrs: 4},
+		{Model: ModelLinearRegression},
+	} {
+		var want []byte
+		for _, procs := range []int{1, 2, 8} {
+			prev := runtime.GOMAXPROCS(procs)
+			m, err := Train(cfg, train)
+			runtime.GOMAXPROCS(prev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw := encodeToBytes(t, m)
+			if want == nil {
+				want = raw
+			} else if !bytes.Equal(raw, want) {
+				t.Fatalf("%s (LeafMaxAttrs %d): GOMAXPROCS %d encodes differently from GOMAXPROCS 1", cfg.Model, cfg.LeafMaxAttrs, procs)
+			}
+		}
 	}
 }

@@ -14,6 +14,19 @@
 // deficient even for QR, a small ridge penalty is applied instead of failing,
 // because a usable, slightly-biased model is always preferable to no model in
 // an on-line prediction loop.
+//
+// The QR works on the design held column by column and advances one
+// Householder step at a time. Step k reads only design columns 0..k, so
+// attribute elimination shares QR prefixes: the trial that drops the
+// attribute at design column d+1 resumes from the current column set's
+// state after steps 0..d and copies only the columns after the dropped one,
+// instead of factorising from scratch. A trial whose QR fails falls back to
+// ridge exactly where a from-scratch QR would, on normal equations cut from
+// the current set's (each entry is one column dot product, so the cut is
+// bit-identical to computing them afresh). The trials of an elimination
+// round run concurrently (internal/fanout) and the winner is picked by the
+// same sequential scan as a one-at-a-time loop, so the fitted model does not
+// depend on GOMAXPROCS.
 package linreg
 
 import (
@@ -22,8 +35,10 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync"
 
 	"agingpred/internal/dataset"
+	"agingpred/internal/fanout"
 )
 
 // Model is a fitted linear regression model: target = Intercept + Σ coef·attr.
@@ -73,12 +88,28 @@ func Fit(ds *dataset.Dataset, opts Options) (*Model, error) {
 	if ds == nil {
 		return nil, errors.New("linreg: nil dataset")
 	}
-	if ds.Len() == 0 {
+	return fit(ds, nil, ds.Len(), opts)
+}
+
+// FitRows fits a linear regression model to the instances rows of ds, in
+// that order, without copying them into a new dataset: the model is
+// bit-identical to Fit on ds.Subset(rows). Every row must index ds. M5P fits
+// its node models this way.
+func FitRows(ds *dataset.Dataset, rows []int32, opts Options) (*Model, error) {
+	if ds == nil {
+		return nil, errors.New("linreg: nil dataset")
+	}
+	return fit(ds, rows, len(rows), opts)
+}
+
+// fit implements Fit (rows == nil: every instance) and FitRows.
+func fit(ds *dataset.Dataset, rows []int32, n int, opts Options) (*Model, error) {
+	if n == 0 {
 		return nil, errors.New("linreg: empty dataset")
 	}
-	ridge := opts.Ridge
-	if ridge == 0 {
-		ridge = 1e-8
+	lambda := opts.Ridge
+	if lambda == 0 {
+		lambda = 1e-8
 	}
 	attrs := ds.Attrs()
 	var cols []int
@@ -97,44 +128,85 @@ func Fit(ds *dataset.Dataset, opts Options) (*Model, error) {
 			cols[i] = i
 		}
 	}
+
+	d := &design{y: make([]float64, n), x: make([][]float64, len(cols))}
+	for j := range d.x {
+		d.x[j] = make([]float64, n)
+	}
+	for i := range d.y {
+		r := i
+		if rows != nil {
+			r = int(rows[i])
+		}
+		row := ds.Row(r)
+		for j, c := range cols {
+			d.x[j][i] = row[c]
+		}
+		d.y[i] = ds.TargetValue(r)
+	}
 	if opts.MaxAttrs > 0 && len(cols) > opts.MaxAttrs {
-		cols = topCorrelatedAmong(ds, cols, opts.MaxAttrs)
+		cols, d.x = topCorrelatedAmong(d, cols, opts.MaxAttrs)
 	}
 
-	coefs, intercept, err := solve(ds, cols, ridge)
+	set := make([]int, len(cols))
+	for j := range set {
+		set[j] = j
+	}
+	q := newQR(n, len(cols)+1)
+	x, err := d.solve(q, set, lambda)
 	if err != nil {
 		return nil, err
 	}
-	model := buildModel(ds, attrs, cols, coefs, intercept)
+	model := d.model(attrs, cols, set, x, d.mae(set, x, make([]float64, n)))
 
 	if opts.EliminateAttrs && len(cols) > 1 {
-		model = eliminate(ds, attrs, cols, ridge, model)
+		model = d.eliminate(attrs, cols, q, lambda, model)
 	}
 	return model, nil
 }
 
-// buildModel assembles a Model from solved coefficients and computes its
-// training error.
-func buildModel(ds *dataset.Dataset, attrs []string, cols []int, coefs []float64, intercept float64) *Model {
+// design is a regression problem held column by column: the target and the
+// candidate attribute columns, gathered once for the fitted rows.
+type design struct {
+	y []float64
+	x [][]float64 // x[j] holds attribute column cols[j] of the fitted rows
+}
+
+// model assembles the Model whose intercept is x[0] and whose coefficients
+// x[1:] belong to the design columns set.
+func (d *design) model(attrs []string, cols, set []int, x []float64, mae float64) *Model {
 	m := &Model{
-		Attrs:             make([]string, len(cols)),
-		Coefficients:      append([]float64(nil), coefs...),
-		Intercept:         intercept,
-		TrainingInstances: ds.Len(),
+		Attrs:             make([]string, len(set)),
+		Coefficients:      append([]float64(nil), x[1:]...),
+		Intercept:         x[0],
+		TrainingInstances: len(d.y),
+		TrainingMAE:       mae,
 	}
-	for i, c := range cols {
-		m.Attrs[i] = attrs[c]
+	for j, c := range set {
+		m.Attrs[j] = attrs[cols[c]]
+	}
+	return m
+}
+
+// mae is the training mean absolute error of the model x (intercept first)
+// over the design columns set. Each row's prediction is accumulated term by
+// term in set order, exactly as Predict evaluates it; pred is scratch space
+// of one entry per row.
+func (d *design) mae(set []int, x, pred []float64) float64 {
+	for i := range pred {
+		pred[i] = x[0]
+	}
+	for j, c := range set {
+		coef, col := x[j+1], d.x[c]
+		for i := range pred {
+			pred[i] += coef * col[i]
+		}
 	}
 	sumAbs := 0.0
-	for i := 0; i < ds.Len(); i++ {
-		pred := intercept
-		for j, c := range cols {
-			pred += coefs[j] * ds.Value(i, c)
-		}
-		sumAbs += math.Abs(pred - ds.TargetValue(i))
+	for i, p := range pred {
+		sumAbs += math.Abs(p - d.y[i])
 	}
-	m.TrainingMAE = sumAbs / float64(ds.Len())
-	return m
+	return sumAbs / float64(len(pred))
 }
 
 // akaikeError is the error measure M5 uses to decide whether dropping an
@@ -150,67 +222,183 @@ func akaikeError(mae float64, n, params int) float64 {
 
 // eliminate greedily drops attributes while the Akaike-corrected training
 // error does not increase. It returns the best model found (possibly the
-// original one).
-func eliminate(ds *dataset.Dataset, attrs []string, cols []int, ridge float64, initial *Model) *Model {
+// original one). base is QR space sized for every column of cols.
+//
+// Each round scores every single-attribute drop from the current set and
+// keeps the best, the later drop winning ties.
+func (d *design) eliminate(attrs []string, cols []int, base *qr, lambda float64, initial *Model) *Model {
 	best := initial
-	bestCols := append([]int(nil), cols...)
-	bestScore := akaikeError(initial.TrainingMAE, ds.Len(), len(bestCols))
-
-	improved := true
-	for improved && len(bestCols) > 1 {
-		improved = false
-		var (
-			bestDropIdx   = -1
-			bestDropModel *Model
-			bestDropCols  []int
-			bestDropScore = bestScore
-		)
-		for drop := range bestCols {
-			trial := make([]int, 0, len(bestCols)-1)
-			trial = append(trial, bestCols[:drop]...)
-			trial = append(trial, bestCols[drop+1:]...)
-			coefs, intercept, err := solve(ds, trial, ridge)
-			if err != nil {
-				continue
-			}
-			m := buildModel(ds, attrs, trial, coefs, intercept)
-			score := akaikeError(m.TrainingMAE, ds.Len(), len(trial))
-			if score <= bestDropScore {
-				bestDropScore = score
-				bestDropIdx = drop
-				bestDropModel = m
-				bestDropCols = trial
+	set := make([]int, len(cols))
+	for j := range set {
+		set[j] = j
+	}
+	bestScore := akaikeError(initial.TrainingMAE, len(d.y), len(set))
+	pool := &scratchPool{n: len(d.y), p: len(cols)}
+	for len(set) > 1 {
+		trials := d.dropTrials(set, base, pool, lambda)
+		bestDrop, bestDropScore := -1, bestScore
+		for drop, tr := range trials {
+			if tr.ok && tr.score <= bestDropScore {
+				bestDrop, bestDropScore = drop, tr.score
 			}
 		}
-		if bestDropIdx >= 0 {
-			best = bestDropModel
-			bestCols = bestDropCols
-			bestScore = bestDropScore
-			improved = true
+		if bestDrop < 0 {
+			break
 		}
+		set = append(append([]int(nil), set[:bestDrop]...), set[bestDrop+1:]...)
+		best = d.model(attrs, cols, set, trials[bestDrop].x, trials[bestDrop].mae)
+		bestScore = bestDropScore
 	}
 	return best
 }
 
-// topCorrelatedAmong returns the k column indices (from the candidate set)
-// whose absolute Pearson correlation with the target is largest.
-func topCorrelatedAmong(ds *dataset.Dataset, candidates []int, k int) []int {
+// trial is the outcome of fitting the current set minus one attribute.
+type trial struct {
+	ok    bool // false when even the ridge fallback failed
+	x     []float64
+	mae   float64
+	score float64
+}
+
+// dropTrials fits, for every position drop of set, the model without
+// set[drop]. The base factorisation of set advances one step per trial:
+// trial drop resumes from its state after steps 0..drop, when the design
+// columns of the two still agree. A trial that falls back to ridge takes
+// its normal equations from set's, computed once for the round. The trials
+// run concurrently; each writes only its own slot.
+func (d *design) dropTrials(set []int, base *qr, pool *scratchPool, lambda float64) []trial {
+	n, p := len(d.y), len(set) // p: design columns of every trial
+	base.load(d, set)
+	var (
+		normalOnce sync.Once
+		normal     *normalEquations
+	)
+	normalWithout := func(drop int) *normalEquations {
+		normalOnce.Do(func() { normal = d.normal(set) })
+		return normal.without(drop + 1)
+	}
+	trials := make([]trial, len(set))
+	xs := make([]float64, len(set)*p)
+	joins := make([]func(), len(set))
+	shared := n >= p // a trial's QR needs at least as many rows as columns
+	for drop := range set {
+		// Once a base step fails, every later trial's own step fails
+		// identically: those trials go straight to the ridge fallback.
+		shared = shared && base.step(drop)
+		s := pool.get()
+		s.set = append(append(s.set[:0], set[:drop]...), set[drop+1:]...)
+		if shared {
+			s.resume(base, drop)
+		}
+		tr, useQR := &trials[drop], shared
+		tr.x = xs[drop*p : (drop+1)*p]
+		joins[drop] = fanout.Fork(func() {
+			d.fitTrial(s, useQR, drop, normalWithout, lambda, tr)
+			pool.put(s)
+		})
+	}
+	for _, join := range joins {
+		join()
+	}
+	return trials
+}
+
+// fitTrial solves and scores the trial dropping set[drop], held in s: it
+// finishes the trial's QR when useQR, and falls back to ridge otherwise or
+// when the QR fails.
+func (d *design) fitTrial(s *scratch, useQR bool, drop int, normalWithout func(drop int) *normalEquations, lambda float64, tr *trial) {
+	if !useQR || !s.q.steps(drop+1) || !s.q.backSubstitute(tr.x) {
+		x, err := ridge(normalWithout(drop), lambda)
+		if err != nil {
+			return
+		}
+		copy(tr.x, x)
+	}
+	tr.mae = d.mae(s.set, tr.x, s.pred)
+	tr.score = akaikeError(tr.mae, len(d.y), len(s.set))
+	tr.ok = true
+}
+
+// scratchPool recycles trial scratch space, so an elimination allocates one
+// scratch per concurrently running trial rather than one per trial.
+type scratchPool struct {
+	mu   sync.Mutex
+	free []*scratch
+	n, p int // rows, and attributes of the largest set
+}
+
+// scratch is one running trial's working space: its QR (sharing the base's
+// leading columns), its own copies of the columns after the dropped one,
+// its attribute set and per-row predictions.
+type scratch struct {
+	q    qr
+	cols [][]float64
+	set  []int
+	pred []float64
+}
+
+func (sp *scratchPool) get() *scratch {
+	sp.mu.Lock()
+	if k := len(sp.free); k > 0 {
+		s := sp.free[k-1]
+		sp.free = sp.free[:k-1]
+		sp.mu.Unlock()
+		return s
+	}
+	sp.mu.Unlock()
+	return &scratch{
+		q:    qr{a: make([][]float64, sp.p), y: make([]float64, sp.n)},
+		cols: columns(sp.n, sp.p),
+		set:  make([]int, 0, sp.p),
+		pred: make([]float64, sp.n),
+	}
+}
+
+func (sp *scratchPool) put(s *scratch) {
+	sp.mu.Lock()
+	sp.free = append(sp.free, s)
+	sp.mu.Unlock()
+}
+
+// resume sets s up as the trial dropping design column drop+1 of base, whose
+// steps 0..drop have run: columns 0..drop are base's own (no later base
+// step writes them), the rest are copies of base's columns after the
+// dropped one.
+func (s *scratch) resume(base *qr, drop int) {
+	p := len(base.a) - 1
+	s.q.a = s.q.a[:p]
+	copy(s.q.a, base.a[:drop+1])
+	for k := drop + 1; k < p; k++ {
+		copy(s.cols[k], base.a[k+1])
+		s.q.a[k] = s.cols[k]
+	}
+	copy(s.q.y, base.y)
+}
+
+// topCorrelatedAmong returns the k columns of cols (with their gathered
+// values) whose absolute Pearson correlation with the target is largest,
+// in ascending column order.
+func topCorrelatedAmong(d *design, cols []int, k int) ([]int, [][]float64) {
 	type scored struct {
-		col  int
+		j    int
 		corr float64
 	}
-	targets := ds.Targets()
-	scoredCols := make([]scored, 0, len(candidates))
-	for _, c := range candidates {
-		scoredCols = append(scoredCols, scored{col: c, corr: math.Abs(pearson(ds.Column(c), targets))})
+	scoredCols := make([]scored, 0, len(cols))
+	for j := range cols {
+		scoredCols = append(scoredCols, scored{j: j, corr: math.Abs(pearson(d.x[j], d.y))})
 	}
 	sort.SliceStable(scoredCols, func(i, j int) bool { return scoredCols[i].corr > scoredCols[j].corr })
-	cols := make([]int, 0, k)
+	keep := make([]int, 0, k)
 	for i := 0; i < k && i < len(scoredCols); i++ {
-		cols = append(cols, scoredCols[i].col)
+		keep = append(keep, scoredCols[i].j)
 	}
-	sort.Ints(cols)
-	return cols
+	sort.Ints(keep)
+	outCols := make([]int, len(keep))
+	outX := make([][]float64, len(keep))
+	for i, j := range keep {
+		outCols[i], outX[i] = cols[j], d.x[j]
+	}
+	return outCols, outX
 }
 
 func pearson(x, y []float64) float64 {
@@ -237,142 +425,220 @@ func pearson(x, y []float64) float64 {
 	return sxy / math.Sqrt(sxx*syy)
 }
 
-// solve computes least-squares coefficients for the given columns plus an
-// intercept. It first tries a QR solve; if the system is rank deficient it
-// falls back to ridge-regularised normal equations.
-func solve(ds *dataset.Dataset, cols []int, ridge float64) (coefs []float64, intercept float64, err error) {
-	n := ds.Len()
-	p := len(cols) + 1 // +1 intercept column
-
-	// Build the design matrix (row-major) with a leading column of ones.
-	a := make([]float64, n*p)
-	b := make([]float64, n)
-	for i := 0; i < n; i++ {
-		a[i*p] = 1
-		for j, c := range cols {
-			a[i*p+j+1] = ds.Value(i, c)
-		}
-		b[i] = ds.TargetValue(i)
-	}
-
-	x, ok := qrSolve(a, b, n, p)
-	if !ok {
-		x, err = ridgeSolve(a, b, n, p, ridge)
-		if err != nil {
-			return nil, 0, fmt.Errorf("linreg: solving least squares: %w", err)
+// solve computes least-squares coefficients for the design columns set plus
+// an intercept, returned intercept first, using q as QR space. It first
+// tries a QR solve; if the system is rank deficient it falls back to
+// ridge-regularised normal equations.
+func (d *design) solve(q *qr, set []int, lambda float64) ([]float64, error) {
+	if len(d.y) >= len(set)+1 {
+		q.load(d, set)
+		x := make([]float64, len(set)+1)
+		if q.steps(0) && q.backSubstitute(x) {
+			return x, nil
 		}
 	}
-	return x[1:], x[0], nil
+	return ridge(d.normal(set), lambda)
 }
 
-// qrSolve solves min ||Ax - b|| for an n×p row-major matrix using Householder
-// QR. It reports ok=false when A is (numerically) rank deficient.
-func qrSolve(a, b []float64, n, p int) (x []float64, ok bool) {
-	if n < p {
-		return nil, false
+// ridge solves the normal equations ne by ridgeSolve.
+func ridge(ne *normalEquations, lambda float64) ([]float64, error) {
+	x, err := ridgeSolve(ne.m, ne.v, ne.p, lambda)
+	if err != nil {
+		return nil, fmt.Errorf("linreg: solving least squares: %w", err)
 	}
-	// Work on copies: the caller may retry with ridge on the originals.
-	r := append([]float64(nil), a...)
-	y := append([]float64(nil), b...)
+	return x, nil
+}
 
-	for k := 0; k < p; k++ {
-		// Compute the Householder reflector for column k below the diagonal.
-		norm := 0.0
-		for i := k; i < n; i++ {
-			norm = math.Hypot(norm, r[i*p+k])
-		}
-		if norm == 0 {
-			return nil, false
-		}
-		if r[k*p+k] > 0 {
-			norm = -norm
-		}
-		for i := k; i < n; i++ {
-			r[i*p+k] /= norm
-		}
-		r[k*p+k] += 1
+// normalEquations holds AᵀA (p×p, row-major) and Aᵀy for a design A. Each
+// entry is the dot product of two design columns accumulated in row order,
+// so the normal equations of a design without one column are those of the
+// full design without that row and column, bit for bit.
+type normalEquations struct {
+	m, v []float64
+	p    int
+}
 
-		// Apply the reflector to the remaining columns and to y.
-		for j := k + 1; j < p; j++ {
-			s := 0.0
-			for i := k; i < n; i++ {
-				s += r[i*p+k] * r[i*p+j]
-			}
-			s = -s / r[k*p+k]
-			for i := k; i < n; i++ {
-				r[i*p+j] += s * r[i*p+k]
-			}
-		}
-		s := 0.0
-		for i := k; i < n; i++ {
-			s += r[i*p+k] * y[i]
-		}
-		s = -s / r[k*p+k]
-		for i := k; i < n; i++ {
-			y[i] += s * r[i*p+k]
-		}
-		// The diagonal entry of R is -norm.
-		r[k*p+k] = norm // stash; actual R(k,k) = -norm, handled in back-substitution
+// normal computes the normal equations of the design [1, x[set[0]], ...].
+func (d *design) normal(set []int) *normalEquations {
+	p := len(set) + 1
+	ones := make([]float64, len(d.y))
+	for i := range ones {
+		ones[i] = 1
 	}
+	column := func(j int) []float64 {
+		if j == 0 {
+			return ones
+		}
+		return d.x[set[j-1]]
+	}
+	ne := &normalEquations{m: make([]float64, p*p), v: make([]float64, p), p: p}
+	for j := 0; j < p; j++ {
+		a := column(j)
+		ne.v[j] = dot(a, d.y)
+		for k := j; k < p; k++ {
+			s := dot(a, column(k))
+			ne.m[j*p+k], ne.m[k*p+j] = s, s
+		}
+	}
+	return ne
+}
 
-	// Back substitution with R stored in the upper triangle (diagonal holds
-	// the negated value in r[k*p+k]).
-	x = make([]float64, p)
+// without returns the normal equations with design column j removed.
+func (ne *normalEquations) without(j int) *normalEquations {
+	p := ne.p - 1
+	out := &normalEquations{m: make([]float64, 0, p*p), v: make([]float64, 0, p), p: p}
+	for r := 0; r < ne.p; r++ {
+		if r == j {
+			continue
+		}
+		row := ne.m[r*ne.p : (r+1)*ne.p]
+		out.m = append(append(out.m, row[:j]...), row[j+1:]...)
+		out.v = append(out.v, ne.v[r])
+	}
+	return out
+}
+
+// dot accumulates Σ a[i]·b[i] in index order.
+func dot(a, b []float64) float64 {
+	b = b[:len(a)]
+	s := 0.0
+	for i, e := range a {
+		s += e * b[i]
+	}
+	return s
+}
+
+// qr is a Householder QR factorisation of a design [1, x...] held column by
+// column and advanced one step at a time. Step k reflects rows k.. of every
+// later column and of y, and reads no column after k: the state after steps
+// 0..k is shared by every design whose first k+1 columns are the same.
+type qr struct {
+	a    [][]float64 // design columns, reflected in place; after step k, a[k][k] holds -R(k,k)
+	y    []float64   // target, reflected in place
+	cols [][]float64 // backing columns a is loaded into
+}
+
+// newQR allocates QR space for designs of up to p columns over n rows.
+func newQR(n, p int) *qr {
+	return &qr{a: make([][]float64, p), y: make([]float64, n), cols: columns(n, p)}
+}
+
+// columns allocates p columns of n rows in one block.
+func columns(n, p int) [][]float64 {
+	block := make([]float64, n*p)
+	cols := make([][]float64, p)
+	for j := range cols {
+		cols[j] = block[j*n : (j+1)*n : (j+1)*n]
+	}
+	return cols
+}
+
+// load copies the design [1, x[set[0]], ...] and the target into q.
+func (q *qr) load(d *design, set []int) {
+	q.a = q.a[:len(set)+1]
+	copy(q.a, q.cols)
+	for i := range q.a[0] {
+		q.a[0][i] = 1
+	}
+	for j, c := range set {
+		copy(q.a[j+1], d.x[c])
+	}
+	copy(q.y, d.y)
+}
+
+// steps runs steps from.. of the factorisation. It reports false when a
+// column is zero below the diagonal, i.e. the design is rank deficient.
+func (q *qr) steps(from int) bool {
+	for k := from; k < len(q.a); k++ {
+		if !q.step(k) {
+			return false
+		}
+	}
+	return true
+}
+
+// step computes the Householder reflector of column k below the diagonal
+// and applies it to the later columns and to y.
+func (q *qr) step(k int) bool {
+	v := q.a[k][k:]
+	norm := 0.0
+	for _, e := range v {
+		norm = math.Hypot(norm, e)
+	}
+	if norm == 0 {
+		return false
+	}
+	if v[0] > 0 {
+		norm = -norm
+	}
+	for i := range v {
+		v[i] /= norm
+	}
+	v[0] += 1
+	for _, c := range q.a[k+1:] {
+		reflect(v, c[k:])
+	}
+	reflect(v, q.y[k:])
+	// The diagonal entry of R is -norm; back-substitution negates it.
+	v[0] = norm
+	return true
+}
+
+// reflect applies the reflector v (pivot v[0]) to c.
+func reflect(v, c []float64) {
+	c = c[:len(v)]
+	s := 0.0
+	for i, e := range v {
+		s += e * c[i]
+	}
+	s = -s / v[0]
+	for i, e := range v {
+		c[i] += s * e
+	}
+}
+
+// backSubstitute solves R x = Qᵀy for a completed factorisation. It reports
+// false when R is (numerically) singular or x is not finite.
+func (q *qr) backSubstitute(x []float64) bool {
+	p := len(q.a)
 	const rankTol = 1e-10
 	maxDiag := 0.0
 	for k := 0; k < p; k++ {
-		if d := math.Abs(r[k*p+k]); d > maxDiag {
+		if d := math.Abs(q.a[k][k]); d > maxDiag {
 			maxDiag = d
 		}
 	}
 	for k := p - 1; k >= 0; k-- {
-		diag := -r[k*p+k]
+		diag := -q.a[k][k]
 		if math.Abs(diag) <= rankTol*maxDiag || diag == 0 {
-			return nil, false
+			return false
 		}
-		s := y[k]
+		s := q.y[k]
 		for j := k + 1; j < p; j++ {
-			s -= r[k*p+j] * x[j]
+			s -= q.a[j][k] * x[j]
 		}
 		x[k] = s / diag
 	}
 	for _, v := range x {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, false
+			return false
 		}
 	}
-	return x, true
+	return true
 }
 
-// ridgeSolve solves (AᵀA + λD)x = Aᵀb by Cholesky decomposition, where D is
+// ridgeSolve solves (M + λD)x = v, the normal equations M = AᵀA, v = Aᵀb of
+// a p-column design A, by Cholesky decomposition, where D is
 // a diagonal scaling matrix derived from AᵀA itself so the penalty is
 // meaningful regardless of the (often wildly different) column scales of the
 // derived Table 2 features. The intercept column is penalised too; with the
 // tiny default λ this bias is negligible and it keeps the matrix strictly
 // positive definite. If the factorisation still fails, the penalty is
 // escalated a few times before giving up.
-func ridgeSolve(a, b []float64, n, p int, lambda float64) ([]float64, error) {
+func ridgeSolve(m, v []float64, p int, lambda float64) ([]float64, error) {
 	if lambda <= 0 {
 		lambda = 1e-8
 	}
-	// Normal matrix M = AᵀA (p×p, symmetric) and rhs v = Aᵀb.
-	m := make([]float64, p*p)
-	v := make([]float64, p)
-	for i := 0; i < n; i++ {
-		row := a[i*p : (i+1)*p]
-		for j := 0; j < p; j++ {
-			v[j] += row[j] * b[i]
-			for k := j; k < p; k++ {
-				m[j*p+k] += row[j] * row[k]
-			}
-		}
-	}
-	for j := 0; j < p; j++ {
-		for k := 0; k < j; k++ {
-			m[j*p+k] = m[k*p+j]
-		}
-	}
-
 	var lastErr error
 	for attempt := 0; attempt < 6; attempt++ {
 		penalised := append([]float64(nil), m...)

@@ -24,6 +24,16 @@
 //     linear models of its ancestors to avoid discontinuities between
 //     adjacent leaves.
 //
+// Fit runs steps 1–3 as one bottom-up pass, built for cheap on-line
+// retraining without changing a trained bit. Each attribute column is sorted
+// once at the root; splits stably partition the per-column orders down the
+// tree, which yields exactly the order a per-node stable sort would. Node
+// models are fitted on each node's row range in place (linreg.FitRows), and
+// pruning reads each node model's training error instead of re-evaluating
+// it. Sibling subtrees are built concurrently through internal/fanout, whose
+// fan-out never changes the result: the tree is a function of the dataset
+// and the options alone, whatever GOMAXPROCS is.
+//
 // The package also exposes the structure of the learned tree (top splits,
 // per-node attributes), which the paper uses as a root-cause hint: the
 // attributes tested near the root are the resources most related to the
@@ -34,9 +44,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"agingpred/internal/dataset"
+	"agingpred/internal/fanout"
 	"agingpred/internal/linreg"
 )
 
@@ -147,67 +159,88 @@ func Fit(ds *dataset.Dataset, opts Options) (*Tree, error) {
 		opts:              opts,
 		TrainingInstances: ds.Len(),
 	}
-	idx := make([]int, ds.Len())
-	for i := range idx {
-		idx[i] = i
-	}
-	globalSD := ds.TargetStats().StdDev
-
-	var err error
-	t.root, err = t.grow(ds, idx, 0, globalSD)
+	b, err := newBuilder(t, ds).build(0, ds.Len(), 0)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := t.fitModels(ds, t.root, idx, true); err != nil {
-		return nil, err
-	}
-	if !opts.Unpruned {
-		t.prune(ds, t.root, idx)
-	}
+	t.root = b.node
 	return t, nil
 }
 
-// grow recursively builds the unpruned tree structure.
-func (t *Tree) grow(ds *dataset.Dataset, idx []int, depth int, globalSD float64) (*node, error) {
-	n := &node{n: len(idx), leaf: true, sd: stdDevTarget(ds, idx)}
-	if len(idx) < 2*t.opts.MinInstances || depth >= t.opts.MaxDepth {
-		return n, nil
-	}
-	if n.sd <= t.opts.MinStdDevFraction*globalSD {
-		return n, nil
-	}
-	attr, threshold, ok := bestSplit(ds, idx, t.opts.MinInstances)
-	if !ok {
-		return n, nil
-	}
-	var left, right []int
-	for _, i := range idx {
-		if ds.Value(i, attr) <= threshold {
-			left = append(left, i)
-		} else {
-			right = append(right, i)
-		}
-	}
-	if len(left) < t.opts.MinInstances || len(right) < t.opts.MinInstances {
-		return n, nil
-	}
-	n.leaf = false
-	n.attr = attr
-	n.threshold = threshold
-	var err error
-	n.left, err = t.grow(ds, left, depth+1, globalSD)
-	if err != nil {
-		return nil, err
-	}
-	n.right, err = t.grow(ds, right, depth+1, globalSD)
-	if err != nil {
-		return nil, err
-	}
-	return n, nil
+// builder holds the working state of one Fit. Every tree node owns one
+// contiguous range [lo, hi) of the row arrays:
+//
+//   - rows holds the node's instances in ascending order, the order every
+//     per-node sum and node model fit runs in (as if the node's instances
+//     were a dataset of their own);
+//   - order[col] holds them sorted by (value of col, row).
+//
+// The root sorts each column once. A split stably partitions every array's
+// range into the children's [lo, mid) and [mid, hi); a stable partition of a
+// (value, row) order is the (value, row) order of each part, exactly what a
+// stable sort of the child's instances would give, so no node sorts again.
+// Sibling subtrees own disjoint ranges and rows, so they are built
+// concurrently (internal/fanout).
+type builder struct {
+	t        *Tree
+	ds       *dataset.Dataset
+	n        int
+	vals     []float64 // column-major attribute values: vals[col*n+row]
+	y        []float64 // target of each row
+	rows     []int32
+	order    [][]int32
+	goLeft   []bool  // per row: the split at its node sends it left
+	buf      []int32 // partition and merge scratch, ranged like the arrays
+	globalSD float64
 }
 
-// fitModels attaches a linear model to every node (post-order) and returns
-// the set of attribute columns tested anywhere in the node's subtree.
+func newBuilder(t *Tree, ds *dataset.Dataset) *builder {
+	n, p := ds.Len(), ds.NumAttrs()
+	b := &builder{
+		t:        t,
+		ds:       ds,
+		n:        n,
+		vals:     make([]float64, p*n),
+		y:        ds.Targets(),
+		rows:     make([]int32, n),
+		order:    make([][]int32, p),
+		goLeft:   make([]bool, n),
+		buf:      make([]int32, n),
+		globalSD: ds.TargetStats().StdDev,
+	}
+	for r := range b.rows {
+		b.rows[r] = int32(r)
+		for c, v := range ds.Row(r) {
+			b.vals[c*n+r] = v
+		}
+	}
+	block := make([]int32, p*n)
+	sortColumns := func(from, to int, buf []int32) {
+		for c := from; c < to; c++ {
+			b.order[c] = block[c*n : (c+1)*n : (c+1)*n]
+			copy(b.order[c], b.rows)
+			sortRows(b.order[c], b.column(c), buf)
+		}
+	}
+	join := fanout.Fork(func() { sortColumns(p/2, p, make([]int32, n)) })
+	sortColumns(0, p/2, b.buf)
+	join()
+	return b
+}
+
+// column returns attribute column c, indexed by row.
+func (b *builder) column(c int) []float64 { return b.vals[c*b.n : (c+1)*b.n] }
+
+// built is a finished subtree: its root, the attributes tested anywhere in
+// it before pruning (ascending), and its estimated error after pruning.
+type built struct {
+	node  *node
+	attrs []int
+	err   float64
+}
+
+// build grows, fits and prunes the subtree over the rows of [lo, hi),
+// bottom-up in one pass, and leaves rows[lo:hi] in ascending order.
 //
 // Following M5 (Quinlan) and M5' (Wang & Witten), a node's linear model may
 // only use the attributes that appear in split tests within its subtree:
@@ -219,117 +252,74 @@ func (t *Tree) grow(ds *dataset.Dataset, idx []int, depth int, globalSD float64)
 // The single exception is a tree that never split at all (tiny or constant
 // training data): its lone node falls back to a plain linear model over all
 // attributes, which is what a degenerate model tree is.
-func (t *Tree) fitModels(ds *dataset.Dataset, n *node, idx []int, isRoot bool) (map[int]bool, error) {
-	sub, err := ds.Subset(idx)
-	if err != nil {
-		return nil, fmt.Errorf("m5p: building node dataset: %w", err)
-	}
-
-	if n.leaf {
-		var columns []int
-		if isRoot {
+func (b *builder) build(lo, hi, depth int) (built, error) {
+	rows := b.rows[lo:hi]
+	n := &node{n: len(rows), leaf: true, sd: stdDevTarget(b.y, rows)}
+	mid, split := b.split(n, lo, hi, depth)
+	if !split {
+		columns := []int{} // constant model
+		if depth == 0 {
 			columns = nil // degenerate tree: use every attribute
-		} else {
-			columns = []int{} // constant model
 		}
-		n.model, err = linreg.Fit(sub, linreg.Options{
-			EliminateAttrs: true,
-			MaxAttrs:       t.opts.LeafMaxAttrs,
-			Columns:        columns,
-		})
+		model, err := b.fit(rows, columns)
 		if err != nil {
-			return nil, fmt.Errorf("m5p: fitting leaf model: %w", err)
+			return built{}, fmt.Errorf("m5p: fitting leaf model: %w", err)
 		}
-		return map[int]bool{}, nil
+		n.model = model
+		return built{node: n, err: nodeError(n)}, nil
 	}
 
-	var left, right []int
-	for _, i := range idx {
-		if ds.Value(i, n.attr) <= n.threshold {
-			left = append(left, i)
-		} else {
-			right = append(right, i)
-		}
+	var left built
+	var leftErr error
+	join := fanout.Fork(func() { left, leftErr = b.build(lo, mid, depth+1) })
+	right, rightErr := b.build(mid, hi, depth+1)
+	join()
+	if leftErr != nil {
+		return built{}, leftErr
 	}
-	leftAttrs, err := t.fitModels(ds, n.left, left, false)
+	if rightErr != nil {
+		return built{}, rightErr
+	}
+	n.left, n.right = left.node, right.node
+	b.mergeRows(lo, mid, hi)
+	attrs := unionAttrs(n.attr, left.attrs, right.attrs)
+	model, err := b.fit(rows, attrs)
 	if err != nil {
-		return nil, err
+		return built{}, fmt.Errorf("m5p: fitting node model: %w", err)
 	}
-	rightAttrs, err := t.fitModels(ds, n.right, right, false)
-	if err != nil {
-		return nil, err
+	n.model = model
+	if b.t.opts.Unpruned {
+		return built{node: n, attrs: attrs}, nil
 	}
-	subtree := map[int]bool{n.attr: true}
-	for a := range leftAttrs {
-		subtree[a] = true
-	}
-	for a := range rightAttrs {
-		subtree[a] = true
-	}
-	columns := make([]int, 0, len(subtree))
-	for a := range subtree {
-		columns = append(columns, a)
-	}
-	n.model, err = linreg.Fit(sub, linreg.Options{
-		EliminateAttrs: true,
-		MaxAttrs:       t.opts.LeafMaxAttrs,
-		Columns:        columns,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("m5p: fitting node model: %w", err)
-	}
-	return subtree, nil
-}
 
-// prune walks the tree bottom-up, replacing a subtree by its node model when
-// the node model's estimated error is no worse than the subtree's estimated
-// error. It returns the estimated error of (possibly pruned) n.
-func (t *Tree) prune(ds *dataset.Dataset, n *node, idx []int) float64 {
-	nodeErr := estimatedError(t.nodeModelMAE(ds, n, idx), len(idx), n.model.NumAttrs())
-	if n.leaf {
-		return nodeErr
-	}
-	var left, right []int
-	for _, i := range idx {
-		if ds.Value(i, n.attr) <= n.threshold {
-			left = append(left, i)
-		} else {
-			right = append(right, i)
-		}
-	}
-	leftErr := t.prune(ds, n.left, left)
-	rightErr := t.prune(ds, n.right, right)
-	subtreeErr := (leftErr*float64(len(left)) + rightErr*float64(len(right))) / float64(len(idx))
-
+	// Prune: replace the subtree by this node's linear model when the
+	// model's estimated error is no worse than the subtree's.
+	nodeErr := nodeError(n)
+	subtreeErr := (left.err*float64(left.node.n) + right.err*float64(right.node.n)) / float64(n.n)
 	if nodeErr <= subtreeErr {
-		// The single linear model at this node is at least as good as the
-		// whole subtree below it: collapse.
 		n.leaf = true
 		n.left = nil
 		n.right = nil
-		return nodeErr
+		return built{node: n, attrs: attrs, err: nodeErr}, nil
 	}
-	return subtreeErr
+	return built{node: n, attrs: attrs, err: subtreeErr}, nil
 }
 
-// nodeModelMAE computes the MAE of the node's linear model over the given
-// instances.
-func (t *Tree) nodeModelMAE(ds *dataset.Dataset, n *node, idx []int) float64 {
-	if len(idx) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, i := range idx {
-		p, err := n.model.Predict(t.attrs, ds.Row(i))
-		if err != nil {
-			// The node model was fitted on this very schema; an error here is
-			// a programming bug, but degrade gracefully by treating the
-			// prediction as the worst case rather than panicking.
-			p = math.Inf(1)
-		}
-		sum += math.Abs(p - ds.TargetValue(i))
-	}
-	return sum / float64(len(idx))
+// fit fits a node model over rows, restricted to columns.
+func (b *builder) fit(rows []int32, columns []int) (*linreg.Model, error) {
+	return linreg.FitRows(b.ds, rows, linreg.Options{
+		EliminateAttrs: true,
+		MaxAttrs:       b.t.opts.LeafMaxAttrs,
+		Columns:        columns,
+	})
+}
+
+// nodeError is the estimated error of n's own linear model. The model's
+// TrainingMAE was accumulated over exactly n's instances, in the order and
+// with the arithmetic of BoundModel.Predict, so it is the node model's MAE
+// over the instances reaching n.
+func nodeError(n *node) float64 {
+	return estimatedError(n.model.TrainingMAE, n.n, n.model.NumAttrs())
 }
 
 // estimatedError applies M5's (n+v)/(n-v) pessimistic correction to a
@@ -342,38 +332,74 @@ func estimatedError(mae float64, n, params int) float64 {
 	return mae * float64(n+v) / float64(n-v)
 }
 
-// bestSplit finds the (attribute, threshold) maximising SDR. Shared logic
-// with internal/regtree but kept local so the two packages stay independent
-// (they are alternative models, not layers).
-func bestSplit(ds *dataset.Dataset, idx []int, minInstances int) (attr int, threshold float64, ok bool) {
-	parentSD := stdDevTarget(ds, idx)
+// split chooses n's split and partitions the row arrays of [lo, hi) around
+// it. It reports false, leaving n a leaf, when n is too small, too deep or
+// too uniform to split, or when no split leaves MinInstances on both sides.
+func (b *builder) split(n *node, lo, hi, depth int) (mid int, ok bool) {
+	minInstances := b.t.opts.MinInstances
+	if n.n < 2*minInstances || depth >= b.t.opts.MaxDepth {
+		return 0, false
+	}
+	if n.sd <= b.t.opts.MinStdDevFraction*b.globalSD {
+		return 0, false
+	}
+	attr, threshold, ok := b.bestSplit(lo, hi, n.sd)
+	if !ok {
+		return 0, false
+	}
+	col := b.column(attr)
+	nLeft := 0
+	for _, r := range b.rows[lo:hi] {
+		b.goLeft[r] = col[r] <= threshold
+		if b.goLeft[r] {
+			nLeft++
+		}
+	}
+	if nLeft < minInstances || n.n-nLeft < minInstances {
+		return 0, false
+	}
+	n.leaf = false
+	n.attr = attr
+	n.threshold = threshold
+	mid = lo + nLeft
+	b.partition(b.rows, lo, mid, hi)
+	for _, ord := range b.order {
+		b.partition(ord, lo, mid, hi)
+	}
+	return mid, true
+}
+
+// bestSplit finds the (attribute, threshold) maximising SDR over the rows of
+// [lo, hi), whose target standard deviation is parentSD. Shared logic with
+// internal/regtree but kept local so the two packages stay independent (they
+// are alternative models, not layers).
+func (b *builder) bestSplit(lo, hi int, parentSD float64) (attr int, threshold float64, ok bool) {
 	if parentSD == 0 {
 		return 0, 0, false
 	}
+	minInstances := b.t.opts.MinInstances
 	bestSDR := 0.0
-	nTotal := float64(len(idx))
-
-	sorted := make([]int, len(idx))
-	for col := 0; col < ds.NumAttrs(); col++ {
-		copy(sorted, idx)
-		sortByColumn(ds, sorted, col)
+	nTotal := float64(hi - lo)
+	for c, ord := range b.order {
+		sorted := ord[lo:hi]
+		col := b.column(c)
 
 		var leftSum, leftSumSq float64
 		var rightSum, rightSumSq float64
 		for _, i := range sorted {
-			v := ds.TargetValue(i)
+			v := b.y[i]
 			rightSum += v
 			rightSumSq += v * v
 		}
 		for pos := 0; pos < len(sorted)-1; pos++ {
-			v := ds.TargetValue(sorted[pos])
+			v := b.y[sorted[pos]]
 			leftSum += v
 			leftSumSq += v * v
 			rightSum -= v
 			rightSumSq -= v * v
 
-			cur := ds.Value(sorted[pos], col)
-			next := ds.Value(sorted[pos+1], col)
+			cur := col[sorted[pos]]
+			next := col[sorted[pos+1]]
 			if cur == next {
 				continue
 			}
@@ -387,7 +413,7 @@ func bestSplit(ds *dataset.Dataset, idx []int, minInstances int) (attr int, thre
 			sdr := parentSD - (float64(nLeft)/nTotal)*sdLeft - (float64(nRight)/nTotal)*sdRight
 			if sdr > bestSDR {
 				bestSDR = sdr
-				attr = col
+				attr = c
 				threshold = (cur + next) / 2
 				ok = true
 			}
@@ -396,29 +422,61 @@ func bestSplit(ds *dataset.Dataset, idx []int, minInstances int) (attr int, thre
 	return attr, threshold, ok
 }
 
-// sortByColumn sorts idx ascending by the given attribute column using a
-// bottom-up merge sort over a scratch buffer (stable, no per-comparison
-// allocations).
-func sortByColumn(ds *dataset.Dataset, idx []int, col int) {
-	n := len(idx)
-	if n < 2 {
-		return
+// partition stably moves the rows of a[lo:hi] that go left to a[lo:mid] and
+// the others to a[mid:hi].
+func (b *builder) partition(a []int32, lo, mid, hi int) {
+	l, r := lo, mid
+	for _, row := range a[lo:hi] {
+		if b.goLeft[row] {
+			a[l] = row // l never passes the element being read
+			l++
+		} else {
+			b.buf[r] = row
+			r++
+		}
 	}
-	buf := make([]int, n)
-	src, dst := idx, buf
+	copy(a[mid:hi], b.buf[mid:hi])
+}
+
+// mergeRows merges the ascending runs rows[lo:mid] and rows[mid:hi] back
+// into one ascending run.
+func (b *builder) mergeRows(lo, mid, hi int) {
+	i, j, k := lo, mid, lo
+	for i < mid && j < hi {
+		if b.rows[i] < b.rows[j] {
+			b.buf[k] = b.rows[i]
+			i++
+		} else {
+			b.buf[k] = b.rows[j]
+			j++
+		}
+		k++
+	}
+	k += copy(b.buf[k:], b.rows[i:mid])
+	copy(b.buf[k:], b.rows[j:hi])
+	copy(b.rows[lo:hi], b.buf[lo:hi])
+}
+
+// unionAttrs returns the ascending union of attr, a and b.
+func unionAttrs(attr int, a, b []int) []int {
+	out := append(append([]int{attr}, a...), b...)
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// sortRows sorts rows ascending by their value in col using a bottom-up
+// merge sort over buf (stable, no per-comparison allocations), so equal
+// values keep their order.
+func sortRows(rows []int32, col []float64, buf []int32) {
+	n := len(rows)
+	src, dst := rows, buf[:n]
 	for width := 1; width < n; width *= 2 {
 		for lo := 0; lo < n; lo += 2 * width {
-			mid := lo + width
-			hi := lo + 2*width
-			if mid > n {
-				mid = n
-			}
-			if hi > n {
-				hi = n
-			}
+			mid := min(lo+width, n)
+			hi := min(lo+2*width, n)
 			i, j, k := lo, mid, lo
 			for i < mid && j < hi {
-				if ds.Value(src[i], col) <= ds.Value(src[j], col) {
+				if col[src[i]] <= col[src[j]] {
 					dst[k] = src[i]
 					i++
 				} else {
@@ -427,35 +485,27 @@ func sortByColumn(ds *dataset.Dataset, idx []int, col int) {
 				}
 				k++
 			}
-			for i < mid {
-				dst[k] = src[i]
-				i++
-				k++
-			}
-			for j < hi {
-				dst[k] = src[j]
-				j++
-				k++
-			}
+			k += copy(dst[k:hi], src[i:mid])
+			copy(dst[k:hi], src[j:hi])
 		}
 		src, dst = dst, src
 	}
-	if &src[0] != &idx[0] {
-		copy(idx, src)
+	if n > 0 && &src[0] != &rows[0] {
+		copy(rows, src)
 	}
 }
 
-func stdDevTarget(ds *dataset.Dataset, idx []int) float64 {
-	if len(idx) < 2 {
+func stdDevTarget(y []float64, rows []int32) float64 {
+	if len(rows) < 2 {
 		return 0
 	}
 	var sum, sumSq float64
-	for _, i := range idx {
-		v := ds.TargetValue(i)
+	for _, i := range rows {
+		v := y[i]
 		sum += v
 		sumSq += v * v
 	}
-	return stdDevFromSums(sum, sumSq, len(idx))
+	return stdDevFromSums(sum, sumSq, len(rows))
 }
 
 func stdDevFromSums(sum, sumSq float64, n int) float64 {

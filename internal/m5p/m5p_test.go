@@ -376,6 +376,14 @@ func TestSortByColumn(t *testing.T) {
 	if pos2 > pos3 {
 		t.Fatalf("sortByColumn is not stable: %v", idx)
 	}
+	// sortRows, the sort Fit runs once per column, orders rows identically.
+	rows := []int32{0, 1, 2, 3, 4, 5, 6, 7}
+	sortRows(rows, vals, make([]int32, len(rows)))
+	for i, r := range rows {
+		if int(r) != idx[i] {
+			t.Fatalf("sortRows = %v, sortByColumn = %v", rows, idx)
+		}
+	}
 }
 
 func TestEstimatedError(t *testing.T) {
