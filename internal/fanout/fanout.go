@@ -1,12 +1,12 @@
 // Package fanout bounds the opportunistic parallelism of model training.
 //
 // Training code splits its work into independent tasks whose results land in
-// fixed slots (a subtree's nodes, the score of one attribute-elimination
-// trial), so the outcome never depends on which goroutine ran a task or when.
-// Fork runs a task on a new goroutine only while fewer than GOMAXPROCS-1
-// forked tasks are running process-wide, and runs it inline otherwise: with
-// GOMAXPROCS 1 training stays single-goroutine, and nested fan-out (trials
-// inside sibling subtrees) never oversubscribes the machine.
+// fixed slots (a subtree's nodes), so the outcome never depends on which
+// goroutine ran a task or when. Fork runs a task on a new goroutine only
+// while fewer than GOMAXPROCS-1 forked tasks are running process-wide, and
+// runs it inline otherwise: with GOMAXPROCS 1 training stays
+// single-goroutine, and nested fan-out (subtrees inside sibling subtrees)
+// never oversubscribes the machine.
 package fanout
 
 import (

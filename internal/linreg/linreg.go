@@ -23,10 +23,22 @@
 // instead of factorising from scratch. A trial whose QR fails falls back to
 // ridge exactly where a from-scratch QR would, on normal equations cut from
 // the current set's (each entry is one column dot product, so the cut is
-// bit-identical to computing them afresh). The trials of an elimination
-// round run concurrently (internal/fanout) and the winner is picked by the
-// same sequential scan as a one-at-a-time loop, so the fitted model does not
-// depend on GOMAXPROCS.
+// bit-identical to computing them afresh). The first round's base
+// factorisation doubles as the full model's.
+//
+// The QR's cost is serial floating-point chains: each column norm is a chain
+// of hypot calls, each reflection a chain of additions. Neither chain can be
+// reordered without changing bits, so independent chains run side by side
+// instead. The trials of a round advance in lockstep groups of two, and the
+// base factorisation takes its steps inside the groups, so a step computes
+// up to three norms in one loop; a step reflects the later columns four at a
+// time, their dot products separate chains in one loop; and hypot is
+// math.Hypot's own operation sequence in plain Go, inlined into the norm
+// loop for finite elements, rather than a call into its assembly. Every
+// chain still sums its own elements in their own order, so every bit is as
+// before. The groups run one at a time on the calling goroutine, so an
+// elimination holds two trials' columns at once and the fitted model does
+// not depend on GOMAXPROCS.
 package linreg
 
 import (
@@ -35,10 +47,8 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
 
 	"agingpred/internal/dataset"
-	"agingpred/internal/fanout"
 )
 
 // Model is a fitted linear regression model: target = Intercept + Σ coef·attr.
@@ -153,16 +163,14 @@ func fit(ds *dataset.Dataset, rows []int32, n int, opts Options) (*Model, error)
 		set[j] = j
 	}
 	q := newQR(n, len(cols)+1)
+	if opts.EliminateAttrs && len(cols) > 1 {
+		return d.eliminate(attrs, cols, q, lambda)
+	}
 	x, err := d.solve(q, set, lambda)
 	if err != nil {
 		return nil, err
 	}
-	model := d.model(attrs, cols, set, x, d.mae(set, x, make([]float64, n)))
-
-	if opts.EliminateAttrs && len(cols) > 1 {
-		model = d.eliminate(attrs, cols, q, lambda, model)
-	}
-	return model, nil
+	return d.model(attrs, cols, set, x, d.mae(set, x)), nil
 }
 
 // design is a regression problem held column by column: the target and the
@@ -190,23 +198,27 @@ func (d *design) model(attrs []string, cols, set []int, x []float64, mae float64
 
 // mae is the training mean absolute error of the model x (intercept first)
 // over the design columns set. Each row's prediction is accumulated term by
-// term in set order, exactly as Predict evaluates it; pred is scratch space
-// of one entry per row.
-func (d *design) mae(set []int, x, pred []float64) float64 {
-	for i := range pred {
-		pred[i] = x[0]
-	}
-	for j, c := range set {
-		coef, col := x[j+1], d.x[c]
+// term in set order, exactly as Predict evaluates it, a block of rows at a
+// time.
+func (d *design) mae(set []int, x []float64) float64 {
+	var buf [256]float64
+	sumAbs := 0.0
+	for lo := 0; lo < len(d.y); lo += len(buf) {
+		pred := buf[:min(len(buf), len(d.y)-lo)]
 		for i := range pred {
-			pred[i] += coef * col[i]
+			pred[i] = x[0]
+		}
+		for j, c := range set {
+			coef, col := x[j+1], d.x[c][lo:lo+len(pred)]
+			for i := range pred {
+				pred[i] += coef * col[i]
+			}
+		}
+		for i, p := range pred {
+			sumAbs += math.Abs(p - d.y[lo+i])
 		}
 	}
-	sumAbs := 0.0
-	for i, p := range pred {
-		sumAbs += math.Abs(p - d.y[i])
-	}
-	return sumAbs / float64(len(pred))
+	return sumAbs / float64(len(d.y))
 }
 
 // akaikeError is the error measure M5 uses to decide whether dropping an
@@ -220,22 +232,28 @@ func akaikeError(mae float64, n, params int) float64 {
 	return mae * float64(n+v) / float64(n-v)
 }
 
-// eliminate greedily drops attributes while the Akaike-corrected training
-// error does not increase. It returns the best model found (possibly the
-// original one). base is QR space sized for every column of cols.
+// eliminate fits the model of every column of cols, then greedily drops
+// attributes while the Akaike-corrected training error does not increase.
+// It returns the best model found (possibly the first one). base is QR
+// space sized for every column of cols.
 //
 // Each round scores every single-attribute drop from the current set and
-// keeps the best, the later drop winning ties.
-func (d *design) eliminate(attrs []string, cols []int, base *qr, lambda float64, initial *Model) *Model {
-	best := initial
+// keeps the best, the later drop winning ties. The first round's base
+// factorisation is also the first model's: it runs once, for both.
+func (d *design) eliminate(attrs []string, cols []int, base *qr, lambda float64) (*Model, error) {
 	set := make([]int, len(cols))
 	for j := range set {
 		set[j] = j
 	}
-	bestScore := akaikeError(initial.TrainingMAE, len(d.y), len(set))
-	pool := &scratchPool{n: len(d.y), p: len(cols)}
-	for len(set) > 1 {
-		trials := d.dropTrials(set, base, pool, lambda)
+	var lanes [lockstep]lane
+	x := make([]float64, len(set)+1)
+	trials, err := d.dropTrials(set, base, &lanes, lambda, x)
+	if err != nil {
+		return nil, err
+	}
+	best := d.model(attrs, cols, set, x, d.mae(set, x))
+	bestScore := akaikeError(best.TrainingMAE, len(d.y), len(set))
+	for {
 		bestDrop, bestDropScore := -1, bestScore
 		for drop, tr := range trials {
 			if tr.ok && tr.score <= bestDropScore {
@@ -243,13 +261,16 @@ func (d *design) eliminate(attrs []string, cols []int, base *qr, lambda float64,
 			}
 		}
 		if bestDrop < 0 {
-			break
+			return best, nil
 		}
 		set = append(append([]int(nil), set[:bestDrop]...), set[bestDrop+1:]...)
 		best = d.model(attrs, cols, set, trials[bestDrop].x, trials[bestDrop].mae)
 		bestScore = bestDropScore
+		if len(set) <= 1 {
+			return best, nil
+		}
+		trials, _ = d.dropTrials(set, base, &lanes, lambda, nil)
 	}
-	return best
 }
 
 // trial is the outcome of fitting the current set minus one attribute.
@@ -260,119 +281,156 @@ type trial struct {
 	score float64
 }
 
+// lockstep is the number of elimination trials whose QRs advance together,
+// one step at a time, so that their serial floating-point chains run side by
+// side (see fitGroup). Each trial of a group holds its own copies of the
+// columns after its dropped one, so lockstep also sets how many trials'
+// columns an elimination holds at once.
+const lockstep = 2
+
 // dropTrials fits, for every position drop of set, the model without
 // set[drop]. The base factorisation of set advances one step per trial:
 // trial drop resumes from its state after steps 0..drop, when the design
 // columns of the two still agree. A trial that falls back to ridge takes
-// its normal equations from set's, computed once for the round. The trials
-// run concurrently; each writes only its own slot.
-func (d *design) dropTrials(set []int, base *qr, pool *scratchPool, lambda float64) []trial {
+// its normal equations from set's, computed at most once for the round.
+// The trials run in groups of lockstep consecutive drops, one group at a
+// time, each in lanes; the base takes its steps inside the groups.
+//
+// When whole is not nil, the base then finishes its own factorisation and
+// whole receives the least-squares solution of set itself, exactly as solve
+// computes it; the error is solve's.
+func (d *design) dropTrials(set []int, base *qr, lanes *[lockstep]lane, lambda float64, whole []float64) ([]trial, error) {
 	n, p := len(d.y), len(set) // p: design columns of every trial
 	base.load(d, set)
-	var (
-		normalOnce sync.Once
-		normal     *normalEquations
-	)
-	normalWithout := func(drop int) *normalEquations {
-		normalOnce.Do(func() { normal = d.normal(set) })
-		return normal.without(drop + 1)
+	var normal *normalEquations
+	normalOf := func() *normalEquations {
+		if normal == nil {
+			normal = d.normal(set)
+		}
+		return normal
 	}
 	trials := make([]trial, len(set))
 	xs := make([]float64, len(set)*p)
-	joins := make([]func(), len(set))
-	shared := n >= p // a trial's QR needs at least as many rows as columns
-	for drop := range set {
-		// Once a base step fails, every later trial's own step fails
-		// identically: those trials go straight to the ridge fallback.
-		shared = shared && base.step(drop)
-		s := pool.get()
-		s.set = append(append(s.set[:0], set[:drop]...), set[drop+1:]...)
-		if shared {
-			s.resume(base, drop)
+	// Once a base step fails, every later trial's own step fails
+	// identically: those trials go straight to the ridge fallback.
+	shared := n >= p && base.step(0) // a trial's QR needs at least as many rows as columns
+	for lo := 0; lo < len(set); lo += lockstep {
+		group := lanes[:min(lockstep, len(set)-lo)]
+		for i := range group {
+			l := &group[i]
+			l.drop, l.running = lo+i, false
+			l.set = append(append(l.set[:0], set[:l.drop]...), set[l.drop+1:]...)
+			trials[l.drop].x = xs[l.drop*p : (l.drop+1)*p]
 		}
-		tr, useQR := &trials[drop], shared
-		tr.x = xs[drop*p : (drop+1)*p]
-		joins[drop] = fanout.Fork(func() {
-			d.fitTrial(s, useQR, drop, normalWithout, lambda, tr)
-			pool.put(s)
-		})
+		shared = d.fitGroup(group, base, shared, normalOf, lambda, trials)
 	}
-	for _, join := range joins {
-		join()
+	var err error
+	if whole != nil && !(shared && n > p && base.step(p) && base.backSubstitute(whole)) {
+		var x []float64
+		x, err = ridge(normalOf(), lambda)
+		copy(whole, x)
 	}
-	return trials
+	return trials, err
 }
 
-// fitTrial solves and scores the trial dropping set[drop], held in s: it
-// finishes the trial's QR when useQR, and falls back to ridge otherwise or
-// when the QR fails.
-func (d *design) fitTrial(s *scratch, useQR bool, drop int, normalWithout func(drop int) *normalEquations, lambda float64, tr *trial) {
-	if !useQR || !s.q.steps(drop+1) || !s.q.backSubstitute(tr.x) {
-		x, err := ridge(normalWithout(drop), lambda)
-		if err != nil {
-			return
+// fitGroup solves and scores the trials of one group, whose first member
+// drops design column lo+1 of base; when shared, base has run steps 0..lo.
+// Member i resumes from base after its step lo+i, so its first own step is
+// lo+i+1; from then on the members still running take each step k
+// together, and base takes its steps lo+1..lo+lockstep alongside, the last
+// of them for the next group. Every step is one stepTogether. A member
+// that never shared the base's prefix, or whose QR fails (a zero column,
+// or a failed back-substitution), falls back to ridge while its partners
+// go on. fitGroup reports whether base's steps have all succeeded.
+func (d *design) fitGroup(group []lane, base *qr, shared bool, normalOf func() *normalEquations, lambda float64, trials []trial) bool {
+	lo, p := group[0].drop, len(group[0].set)+1 // p: design columns of every trial
+	resume := func(i int) {
+		if l := &group[i]; shared {
+			l.resume(base, l.drop)
+			l.running = true
 		}
-		copy(tr.x, x)
 	}
-	tr.mae = d.mae(s.set, tr.x, s.pred)
-	tr.score = akaikeError(tr.mae, len(d.y), len(s.set))
-	tr.ok = true
-}
-
-// scratchPool recycles trial scratch space, so an elimination allocates one
-// scratch per concurrently running trial rather than one per trial.
-type scratchPool struct {
-	mu   sync.Mutex
-	free []*scratch
-	n, p int // rows, and attributes of the largest set
-}
-
-// scratch is one running trial's working space: its QR (sharing the base's
-// leading columns), its own copies of the columns after the dropped one,
-// its attribute set and per-row predictions.
-type scratch struct {
-	q    qr
-	cols [][]float64
-	set  []int
-	pred []float64
-}
-
-func (sp *scratchPool) get() *scratch {
-	sp.mu.Lock()
-	if k := len(sp.free); k > 0 {
-		s := sp.free[k-1]
-		sp.free = sp.free[:k-1]
-		sp.mu.Unlock()
-		return s
+	var (
+		qs      [lockstep + 1]*qr
+		running [lockstep + 1]*bool
+	)
+	for k := lo + 1; k < p; k++ {
+		if i := k - lo - 1; i < len(group) {
+			resume(i)
+		}
+		m := 0
+		for i := range group {
+			if l := &group[i]; l.running {
+				qs[m], running[m] = &l.q, &l.running
+				m++
+			}
+		}
+		if shared && k <= lo+lockstep {
+			qs[m], running[m] = base, &shared
+			m++
+		}
+		if m == 0 {
+			continue
+		}
+		ok := stepTogether(qs[:m], k)
+		for i, r := range running[:m] {
+			*r = ok[i]
+		}
 	}
-	sp.mu.Unlock()
-	return &scratch{
-		q:    qr{a: make([][]float64, sp.p), y: make([]float64, sp.n)},
-		cols: columns(sp.n, sp.p),
-		set:  make([]int, 0, sp.p),
-		pred: make([]float64, sp.n),
+	for i := max(p-lo-1, 0); i < len(group); i++ {
+		resume(i) // a trial that takes no steps of its own
 	}
+	for i := range group {
+		l := &group[i]
+		tr := &trials[l.drop]
+		if !l.running || !l.q.backSubstitute(tr.x) {
+			x, err := ridge(normalOf().without(l.drop+1), lambda)
+			if err != nil {
+				continue
+			}
+			copy(tr.x, x)
+		}
+		tr.mae = d.mae(l.set, tr.x)
+		tr.score = akaikeError(tr.mae, len(d.y), len(l.set))
+		tr.ok = true
+	}
+	return shared
 }
 
-func (sp *scratchPool) put(s *scratch) {
-	sp.mu.Lock()
-	sp.free = append(sp.free, s)
-	sp.mu.Unlock()
+// lane is one trial of a group: the current set without set[drop] and the
+// trial's QR, which shares the base's leading columns and holds its own
+// copies of the rest in block. An elimination reuses its lanes from trial
+// to trial; the first trial to use a lane is the one that copies the most.
+type lane struct {
+	drop    int
+	set     []int
+	q       qr
+	block   []float64
+	running bool // the trial shares the base's prefix and its QR has not failed
 }
 
-// resume sets s up as the trial dropping design column drop+1 of base, whose
+// resume sets l up as the trial dropping design column drop+1 of base, whose
 // steps 0..drop have run: columns 0..drop are base's own (no later base
-// step writes them), the rest are copies of base's columns after the
-// dropped one.
-func (s *scratch) resume(base *qr, drop int) {
-	p := len(base.a) - 1
-	s.q.a = s.q.a[:p]
-	copy(s.q.a, base.a[:drop+1])
-	for k := drop + 1; k < p; k++ {
-		copy(s.cols[k], base.a[k+1])
-		s.q.a[k] = s.cols[k]
+// step writes them), the rest and y are copies in l's block of base's
+// columns after the dropped one.
+func (l *lane) resume(base *qr, drop int) {
+	n, p := len(base.y), len(base.a)-1
+	if size := (p - drop) * n; cap(l.block) < size {
+		l.block = make([]float64, size)
 	}
-	copy(s.q.y, base.y)
+	block := l.block
+	next := func() []float64 {
+		c := block[:n:n]
+		block = block[n:]
+		return c
+	}
+	l.q.a = append(l.q.a[:0], base.a[:drop+1]...)
+	for _, c := range base.a[drop+2:] {
+		l.q.a = append(l.q.a, next())
+		copy(l.q.a[len(l.q.a)-1], c)
+	}
+	l.q.y = next()
+	copy(l.q.y, base.y)
 }
 
 // topCorrelatedAmong returns the k columns of cols (with their gathered
@@ -560,14 +618,52 @@ func (q *qr) steps(from int) bool {
 // step computes the Householder reflector of column k below the diagonal
 // and applies it to the later columns and to y.
 func (q *qr) step(k int) bool {
-	v := q.a[k][k:]
-	norm := 0.0
-	for _, e := range v {
-		norm = math.Hypot(norm, e)
+	return stepTogether([]*qr{q}, k)[0]
+}
+
+// stepTogether runs step k of each QR in qs, at most lockstep+1 of them
+// with columns of the same length, side by side: the column norms are
+// separate hypot chains in one loop, each over its own column in element
+// order, so each QR gets exactly the bits its own step computes. ok[i]
+// reports qs[i]'s step. The loop is written for three chains, a group's
+// two members and the base; a missing QR repeats the first one's chain,
+// which costs little while the chains are latency-bound.
+func stepTogether(qs []*qr, k int) (ok [lockstep + 1]bool) {
+	var v [lockstep + 1][]float64
+	for i := range v {
+		v[i] = qs[0].a[k][k:]
+		if i < len(qs) {
+			v[i] = qs[i].a[k][k:]
+		}
 	}
+	v0, v1, v2 := v[0], v[1][:len(v[0])], v[2][:len(v[0])]
+	var n0, n1, n2 float64
+	for i, e0 := range v0 {
+		e1, e2 := v1[i], v2[i]
+		// A norm only grows, to +Inf at worst, which hypotFinite takes; a
+		// non-finite element, and every element after a NaN, takes hypot.
+		if finite(e0) && finite(e1) && finite(e2) && !math.IsNaN(n0+n1+n2) {
+			n0, n1, n2 = hypotFinite(n0, e0), hypotFinite(n1, e1), hypotFinite(n2, e2)
+		} else {
+			n0, n1, n2 = hypot(n0, e0), hypot(n1, e1), hypot(n2, e2)
+		}
+	}
+	norm := [...]float64{n0, n1, n2}
+	for i, q := range qs {
+		ok[i] = q.reflectBy(k, norm[i])
+	}
+	return ok
+}
+
+// reflectBy finishes step k, given the norm of column k below the diagonal:
+// it forms the reflector and applies it to the later columns and to y, four
+// at a time. It reports false when the norm is zero, i.e. the design is
+// rank deficient.
+func (q *qr) reflectBy(k int, norm float64) bool {
 	if norm == 0 {
 		return false
 	}
+	v := q.a[k][k:]
 	if v[0] > 0 {
 		norm = -norm
 	}
@@ -575,13 +671,29 @@ func (q *qr) step(k int) bool {
 		v[i] /= norm
 	}
 	v[0] += 1
-	for _, c := range q.a[k+1:] {
-		reflect(v, c[k:])
+	// Targets k+1..len(q.a)-1 are the later columns, len(q.a) is y.
+	j, end := k+1, len(q.a)+1
+	for ; j+4 <= end; j += 4 {
+		reflect4(v, q.target(j, k), q.target(j+1, k), q.target(j+2, k), q.target(j+3, k))
 	}
-	reflect(v, q.y[k:])
+	if j+2 <= end {
+		reflect2(v, q.target(j, k), q.target(j+1, k))
+		j += 2
+	}
+	if j < end {
+		reflect(v, q.target(j, k))
+	}
 	// The diagonal entry of R is -norm; back-substitution negates it.
 	v[0] = norm
 	return true
+}
+
+// target returns rows k.. of design column j, or of y when j is len(q.a).
+func (q *qr) target(j, k int) []float64 {
+	if j == len(q.a) {
+		return q.y[k:]
+	}
+	return q.a[j][k:]
 }
 
 // reflect applies the reflector v (pivot v[0]) to c.
@@ -596,6 +708,72 @@ func reflect(v, c []float64) {
 		c[i] += s * e
 	}
 }
+
+// reflect2 is reflect on c0 and c1, with the two dot products as separate
+// chains in one loop.
+func reflect2(v, c0, c1 []float64) {
+	c0, c1 = c0[:len(v)], c1[:len(v)]
+	s0, s1 := 0.0, 0.0
+	for i, e := range v {
+		s0 += e * c0[i]
+		s1 += e * c1[i]
+	}
+	s0, s1 = -s0/v[0], -s1/v[0]
+	for i, e := range v {
+		c0[i] += s0 * e
+		c1[i] += s1 * e
+	}
+}
+
+// reflect4 is reflect on c0..c3, with the four dot products as separate
+// chains in one loop.
+func reflect4(v, c0, c1, c2, c3 []float64) {
+	c0, c1, c2, c3 = c0[:len(v)], c1[:len(v)], c2[:len(v)], c3[:len(v)]
+	s0, s1, s2, s3 := 0.0, 0.0, 0.0, 0.0
+	for i, e := range v {
+		s0 += e * c0[i]
+		s1 += e * c1[i]
+		s2 += e * c2[i]
+		s3 += e * c3[i]
+	}
+	s0, s1, s2, s3 = -s0/v[0], -s1/v[0], -s2/v[0], -s3/v[0]
+	for i, e := range v {
+		c0[i] += s0 * e
+		c1[i] += s1 * e
+		c2[i] += s2 * e
+		c3[i] += s3 * e
+	}
+}
+
+// hypot returns math.Hypot(p, q) bit for bit: for finite arguments it runs
+// the same operations, p·√(1+(q/p)²) after taking absolute values and
+// ordering them (hypotFinite), as plain Go, so a norm chain pays no call
+// into the assembly routine; any other argument goes to math.Hypot.
+func hypot(p, q float64) float64 {
+	if !finite(p) || !finite(q) {
+		return math.Hypot(p, q)
+	}
+	return hypotFinite(p, q)
+}
+
+// hypotFinite is hypot for a finite q and a p that is finite or +Inf. It
+// is small enough for the compiler to inline into the norm loop. The
+// conversion float64(q*q) rounds the square before the addition, as the
+// assembly does: it keeps the compiler from fusing the two into one FMA.
+func hypotFinite(p, q float64) float64 {
+	p, q = math.Abs(p), math.Abs(q)
+	if p < q {
+		p, q = q, p
+	}
+	if p == 0 {
+		return 0
+	}
+	q /= p
+	return p * math.Sqrt(1+float64(q*q))
+}
+
+// finite reports whether x is neither infinite nor NaN.
+func finite(x float64) bool { return math.Abs(x) <= math.MaxFloat64 }
 
 // backSubstitute solves R x = Qᵀy for a completed factorisation. It reports
 // false when R is (numerically) singular or x is not finite.

@@ -263,6 +263,8 @@ const (
 	shapeCollinear        // a doubled column, a constant and an all-zero column
 	shapeWide             // fewer instances than attributes
 	shapeRidge            // rank deficient for every QR: ridge fallback
+	shapeMany             // 10-16 attributes, often with a doubled column
+	shapeScaled           // column scales spanning 1e-150 to 1e150
 	numShapes
 )
 
@@ -270,6 +272,9 @@ const (
 func shapedDataset(seed uint64, shape int) *dataset.Dataset {
 	src := rng.New(seed)
 	p := src.IntBetween(2, 9)
+	if shape == shapeMany {
+		p = src.IntBetween(10, 16)
+	}
 	n := src.IntBetween(p+1, 90)
 	if shape == shapeWide {
 		n = src.IntBetween(1, p)
@@ -278,8 +283,19 @@ func shapedDataset(seed uint64, shape int) *dataset.Dataset {
 		n = src.IntBetween(2, 12)
 	}
 	attrs := make([]string, p)
+	scale := make([]float64, p)
 	for j := range attrs {
 		attrs[j] = fmt.Sprintf("x%d", j)
+		scale[j] = 1
+		if shape == shapeScaled {
+			scale[j] = math.Pow(10, float64(src.IntBetween(-150, 150)))
+		}
+	}
+	// In the many-attribute shape, x2 may double x0 or x1: trials that
+	// keep both members of the pair are rank deficient, the others not.
+	doubled := -1
+	if shape == shapeMany {
+		doubled = src.Intn(3) - 1
 	}
 	ds := dataset.MustNew("shaped", attrs, "y")
 	row := make([]float64, p)
@@ -301,6 +317,8 @@ func shapedDataset(seed uint64, shape int) *dataset.Dataset {
 				row[j] = 0
 			case shape == shapeRidge && j == 0:
 				row[j] = 4.5
+			case j == 2 && doubled >= 0:
+				row[j] = 2 * row[doubled]
 			default:
 				row[j] = src.Float64Between(-10, 10)
 			}
@@ -311,6 +329,9 @@ func shapedDataset(seed uint64, shape int) *dataset.Dataset {
 		}
 		if shape == shapeTies {
 			y = math.Round(y)
+		}
+		for j := range row {
+			row[j] *= scale[j]
 		}
 		if err := ds.Append(row, y); err != nil {
 			panic(err)
@@ -386,6 +407,82 @@ func TestShapesReachRidgeFallback(t *testing.T) {
 		}
 		if wide := shapedDataset(seed*numShapes+shapeWide, shapeWide); wide.Len() >= wide.NumAttrs()+1 {
 			t.Fatalf("seed %d: wide dataset has %d rows for %d attributes", seed, wide.Len(), wide.NumAttrs())
+		}
+	}
+}
+
+// TestShapesReachSplitGroups guards the oracle comparison's coverage of
+// lockstep trials: in the first elimination round of some many-attribute
+// dataset, a group member's QR fails while its partner's finishes, with
+// the failing member first in its group and, on another dataset, second.
+// The first member's failure is then its own: its partner shares its
+// prefix and completes.
+func TestShapesReachSplitGroups(t *testing.T) {
+	var firstFails, secondFails bool
+	for seed := uint64(1); seed <= 40; seed++ {
+		ds := shapedDataset(seed*numShapes+shapeMany, shapeMany)
+		all := make([]int, ds.NumAttrs())
+		for j := range all {
+			all[j] = j
+		}
+		qrOK := func(drop int) bool {
+			trial := append(append([]int(nil), all[:drop]...), all[drop+1:]...)
+			_, ok := oracleQRSolve(oracleDesign(ds, trial))
+			return ok
+		}
+		for lo := 0; lo+1 < len(all); lo += lockstep {
+			a, b := qrOK(lo), qrOK(lo+1)
+			firstFails = firstFails || (!a && b)
+			secondFails = secondFails || (a && !b)
+		}
+	}
+	if !firstFails || !secondFails {
+		t.Fatalf("no group splits: first member fails alone %v, second member fails alone %v", firstFails, secondFails)
+	}
+}
+
+// TestDropTrialsMatchOracle compares every trial of a first elimination
+// round, and the full model fitted alongside, with the reference's
+// from-scratch fit of the same columns: the solution bit for bit, and the
+// training MAE. Unlike the comparison of fitted models, it sees trials
+// that do not win their round.
+func TestDropTrialsMatchOracle(t *testing.T) {
+	const lambda = 1e-8
+	for shape := 0; shape < numShapes; shape++ {
+		for seed := uint64(1); seed <= 40; seed++ {
+			ds := shapedDataset(seed*numShapes+uint64(shape), shape)
+			n, all := ds.Len(), make([]int, ds.NumAttrs())
+			d := &design{y: ds.Targets(), x: make([][]float64, len(all))}
+			for j := range all {
+				all[j], d.x[j] = j, ds.Column(j)
+			}
+			var lanes [lockstep]lane
+			whole := make([]float64, len(all)+1)
+			trials, err := d.dropTrials(all, newQR(n, len(all)+1), &lanes, lambda, whole)
+			check := func(what string, cols []int, ok bool, x []float64, mae float64) {
+				t.Helper()
+				coefs, intercept, wantErr := oracleSolve(ds, cols, lambda)
+				if ok != (wantErr == nil) {
+					t.Fatalf("shape %d seed %d %s: ok %v, oracle err %v", shape, seed, what, ok, wantErr)
+				}
+				if !ok {
+					return
+				}
+				want := oracleBuildModel(ds, ds.Attrs(), cols, coefs, intercept)
+				for j, w := range append([]float64{intercept}, coefs...) {
+					if math.Float64bits(x[j]) != math.Float64bits(w) {
+						t.Fatalf("shape %d seed %d %s: x[%d] = %v, oracle %v", shape, seed, what, j, x[j], w)
+					}
+				}
+				if mae >= 0 && math.Float64bits(mae) != math.Float64bits(want.TrainingMAE) {
+					t.Fatalf("shape %d seed %d %s: mae %v, oracle %v", shape, seed, what, mae, want.TrainingMAE)
+				}
+			}
+			check("full model", all, err == nil, whole, -1)
+			for drop, tr := range trials {
+				cols := append(append([]int(nil), all[:drop]...), all[drop+1:]...)
+				check(fmt.Sprintf("trial %d", drop), cols, tr.ok, tr.x, tr.mae)
+			}
 		}
 	}
 }
