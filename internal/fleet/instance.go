@@ -180,27 +180,6 @@ func drawProfile(c Class, src *rng.Source) injector.Profile {
 	}
 }
 
-// stepKind selects the specialised stepper matched to an instance's fault
-// mix. Each specialised stepper elides exactly the work the generic stepper
-// provably never does for that mix — rate terms that are identically zero,
-// Normal draws inside never-taken branches, TTF candidates of absent faults —
-// and substitutes precomputed constants for subexpressions that are invariant
-// for the mix. Nothing is reassociated: every float operation that does run
-// is the very operation stepGeneric would run, so the trajectories are
-// bit-identical (pinned by the step-equivalence suite in step_equiv_test.go).
-type stepKind uint8
-
-const (
-	// stepKindGeneric is the reference path: the original all-fault stepper.
-	// Chosen for any rate combination without a specialised stepper.
-	stepKindGeneric stepKind = iota
-	stepKindHealthy
-	stepKindMem
-	stepKindThread
-	stepKindConn
-	stepKindMemThread
-)
-
 // instance is the live state of one simulated server. The model is
 // deliberately phenomenological and cheap — a fleet of thousands must step in
 // wall-clock milliseconds per simulated tick — but it emits the same Table 2
@@ -212,10 +191,9 @@ type instance struct {
 	src  *rng.Source
 
 	// Loop-invariant per-spec values, hoisted once at newInstance time so
-	// the per-tick steppers call no injector.Profile methods and redo no
-	// spec arithmetic. Each holds exactly the value the generic stepper
-	// would compute — hoisting moves work, never reassociates it.
-	kind      stepKind
+	// step calls no injector.Profile methods and redoes no spec arithmetic.
+	// Each holds exactly the value the method returns; the profile methods
+	// return exactly 0 for an absent fault.
 	ebsF      float64 // float64(spec.EBs)
 	memPerHit float64 // spec.Profile.MemoryMBPerHit()
 	thrRate   float64 // spec.Profile.ThreadsPerSec()
@@ -247,23 +225,6 @@ func newInstance(seed uint64, spec InstanceSpec) *instance {
 		thrRate:   spec.Profile.ThreadsPerSec(),
 		connRate:  spec.Profile.ConnsPerSec(),
 	}
-	// The profile methods return exactly 0 for an absent fault, so the rate
-	// signs identify the mix; any combination without a specialised stepper
-	// falls back to the generic reference path.
-	switch {
-	case in.memPerHit == 0 && in.thrRate == 0 && in.connRate == 0:
-		in.kind = stepKindHealthy
-	case in.memPerHit > 0 && in.thrRate == 0 && in.connRate == 0:
-		in.kind = stepKindMem
-	case in.memPerHit == 0 && in.thrRate > 0 && in.connRate == 0:
-		in.kind = stepKindThread
-	case in.memPerHit == 0 && in.thrRate == 0 && in.connRate > 0:
-		in.kind = stepKindConn
-	case in.memPerHit > 0 && in.thrRate > 0 && in.connRate == 0:
-		in.kind = stepKindMemThread
-	default:
-		in.kind = stepKindGeneric
-	}
 	in.reset()
 	return in
 }
@@ -292,17 +253,6 @@ func (in *instance) expectedThroughput(tSec float64) float64 {
 	return in.activeEBs(tSec) / (thinkTimeSec + baseRespSec)
 }
 
-// Response-time pressure constants of a leak-free heap and connection pool:
-// respPressure0 is the bracketed pressure sum with heapPressure frozen at its
-// oldBaseMB/oldMaxMB base and connPressure at zero, respBase0 the resulting
-// noise-free response time. Both are computed with exactly the float
-// operations (and operand order) the generic stepper performs, so the
-// specialised steppers that substitute them stay bit-identical.
-var (
-	respPressure0 = 1 + 3*pow4(oldBaseMB/oldMaxMB)
-	respBase0     = baseRespSec * respPressure0
-)
-
 // step advances the instance by one checkpoint interval ending at tSec and
 // writes the monitored checkpoint into *cp, or returns crashed=true (leaving
 // *cp untouched) when a resource ran out during the interval. The out
@@ -312,31 +262,7 @@ var (
 // position across resets), so the whole trajectory is a pure function of
 // (seed, spec, sequence of step calls) — independent of fleet size, shard
 // count and sibling instances.
-//
-// step dispatches to the specialised stepper of the instance's fault mix;
-// every specialisation draws the identical random sequence and computes
-// bit-identical state to stepGeneric (see stepKind).
 func (in *instance) step(tSec, dtSec float64, cp *monitor.Checkpoint) (crashed bool) {
-	switch in.kind {
-	case stepKindHealthy:
-		return in.stepHealthy(tSec, dtSec, cp)
-	case stepKindMem:
-		return in.stepMem(tSec, dtSec, cp)
-	case stepKindThread:
-		return in.stepThread(tSec, dtSec, cp)
-	case stepKindConn:
-		return in.stepConn(tSec, dtSec, cp)
-	case stepKindMemThread:
-		return in.stepMemThread(tSec, dtSec, cp)
-	default:
-		return in.stepGeneric(tSec, dtSec, cp)
-	}
-}
-
-// stepGeneric is the reference stepper: the original all-fault step body,
-// kept verbatim (profile-method calls included) as the ground truth the
-// step-equivalence suite diffs every specialised stepper against.
-func (in *instance) stepGeneric(tSec, dtSec float64, cp *monitor.Checkpoint) (crashed bool) {
 	active := in.activeEBs(tSec)
 
 	// Response time degrades super-linearly as the old generation fills
@@ -353,22 +279,21 @@ func (in *instance) stepGeneric(tSec, dtSec float64, cp *monitor.Checkpoint) (cr
 	// fault is request-coupled (it scales with the load the instance sees
 	// right now, spikes included); threads and connections leak on wall
 	// time.
-	p := in.spec.Profile
-	memRate := in.thr * searchFrac * p.MemoryMBPerHit() // MB/s
+	memRate := in.thr * searchFrac * in.memPerHit // MB/s
 	if memRate > 0 {
 		in.oldUsedMB += memRate*dtSec + in.src.Normal(0, 0.4)
 		if in.oldUsedMB < oldBaseMB {
 			in.oldUsedMB = oldBaseMB
 		}
 	}
-	thrRate := p.ThreadsPerSec()
+	thrRate := in.thrRate
 	if thrRate > 0 {
 		in.leakThreads += thrRate*dtSec + in.src.Normal(0, 0.25)
 		if in.leakThreads < 0 {
 			in.leakThreads = 0
 		}
 	}
-	connRate := p.ConnsPerSec()
+	connRate := in.connRate
 	if connRate > 0 {
 		in.leakConns += connRate*dtSec + in.src.Normal(0, 0.15)
 		if in.leakConns < 0 {
@@ -420,304 +345,6 @@ func (in *instance) stepGeneric(tSec, dtSec float64, cp *monitor.Checkpoint) (cr
 	// duffcopy it into *cp; storing through the pointer writes each field
 	// once. TTFSec is the one field the literal left at zero — the slot is
 	// reused across ticks, so zero it explicitly.
-	cp.TimeSec = tSec
-	cp.Throughput = in.thr
-	cp.Workload = active
-	cp.ResponseTimeSec = resp
-	cp.SystemLoad = busy
-	cp.DiskUsedMB = in.diskMB
-	cp.SwapFreeMB = swapMB
-	cp.NumProcesses = baseProcesses
-	cp.SystemMemUsedMB = otherProcsMB + tomcatMem
-	cp.TomcatMemUsedMB = tomcatMem
-	cp.NumThreads = threads
-	cp.NumHTTPConns = active * 0.5
-	cp.NumMySQLConns = conns
-	cp.YoungMaxMB = youngMaxMB
-	cp.OldMaxMB = oldMaxMB
-	cp.YoungUsedMB = youngUsed
-	cp.OldUsedMB = in.oldUsedMB
-	cp.YoungPct = 100 * youngUsed / youngMaxMB
-	cp.OldPct = 100 * in.oldUsedMB / oldMaxMB
-	cp.TTFSec = 0
-	return false
-}
-
-// stepHealthy serves the fault-free class: heapPressure is frozen at its
-// leak-free base and connPressure at zero, so the noise-free response time is
-// the precomputed respBase0; no leak accumulates, no Normal rate draws
-// happen in the generic stepper either (their guards are identically false),
-// and every TTF candidate is infinite.
-func (in *instance) stepHealthy(tSec, dtSec float64, cp *monitor.Checkpoint) bool {
-	active := in.activeEBs(tSec)
-	resp := respBase0 + in.src.Normal(0, 0.004)
-	if resp < 0.01 {
-		resp = 0.01
-	}
-	in.thr = active / (thinkTimeSec + resp)
-
-	busy := in.thr * resp
-	threads := baseThreads + busy // leakThreads is identically 0
-	conns := 0.5 * busy           // busyConns; leakConns is identically 0
-	if in.oldUsedMB >= oldMaxMB || threads >= maxThreads || conns >= maxDBConns {
-		return true
-	}
-	in.refTTFSec = monitor.InfiniteTTFSec
-	in.diskMB += in.thr * dtSec * logMBPerRequest
-	youngUsed := in.src.Float64Between(16, youngMaxMB*0.85)
-	tomcatMem := jvmBaseMB + in.oldUsedMB + youngUsed + stackMBPerThread*threads
-	// Checkpoint epilogue by field stores; see stepGeneric's comment.
-	cp.TimeSec = tSec
-	cp.Throughput = in.thr
-	cp.Workload = active
-	cp.ResponseTimeSec = resp
-	cp.SystemLoad = busy
-	cp.DiskUsedMB = in.diskMB
-	cp.SwapFreeMB = swapMB
-	cp.NumProcesses = baseProcesses
-	cp.SystemMemUsedMB = otherProcsMB + tomcatMem
-	cp.TomcatMemUsedMB = tomcatMem
-	cp.NumThreads = threads
-	cp.NumHTTPConns = active * 0.5
-	cp.NumMySQLConns = conns
-	cp.YoungMaxMB = youngMaxMB
-	cp.OldMaxMB = oldMaxMB
-	cp.YoungUsedMB = youngUsed
-	cp.OldUsedMB = in.oldUsedMB
-	cp.YoungPct = 100 * youngUsed / youngMaxMB
-	cp.OldPct = 100 * in.oldUsedMB / oldMaxMB
-	cp.TTFSec = 0
-	return false
-}
-
-// stepMem serves the request-coupled memory-leak class. connPressure is
-// identically zero, so its pow4 term — the last addend of the pressure sum —
-// vanishes; the thread/connection leak blocks and TTF candidates are elided
-// the same way.
-func (in *instance) stepMem(tSec, dtSec float64, cp *monitor.Checkpoint) bool {
-	active := in.activeEBs(tSec)
-	heapPressure := in.oldUsedMB / oldMaxMB
-	resp := baseRespSec*(1+3*pow4(heapPressure)) + in.src.Normal(0, 0.004)
-	if resp < 0.01 {
-		resp = 0.01
-	}
-	in.thr = active / (thinkTimeSec + resp)
-
-	// The memory fault is request-coupled: its rate scales with the load the
-	// instance sees right now. The guard is kept (not folded into the kind)
-	// because memRate inherits the sign of the live throughput.
-	memRate := in.thr * searchFrac * in.memPerHit
-	if memRate > 0 {
-		in.oldUsedMB += memRate*dtSec + in.src.Normal(0, 0.4)
-		if in.oldUsedMB < oldBaseMB {
-			in.oldUsedMB = oldBaseMB
-		}
-	}
-
-	busy := in.thr * resp
-	threads := baseThreads + busy
-	conns := 0.5 * busy
-	if in.oldUsedMB >= oldMaxMB || threads >= maxThreads || conns >= maxDBConns {
-		return true
-	}
-
-	ttf := monitor.InfiniteTTFSec
-	if memRate > 1e-9 {
-		if v := (oldMaxMB - in.oldUsedMB) / memRate; v < ttf {
-			ttf = v
-		}
-	}
-	in.refTTFSec = ttf
-	in.diskMB += in.thr * dtSec * logMBPerRequest
-	youngUsed := in.src.Float64Between(16, youngMaxMB*0.85)
-	tomcatMem := jvmBaseMB + in.oldUsedMB + youngUsed + stackMBPerThread*threads
-	// Checkpoint epilogue by field stores; see stepGeneric's comment.
-	cp.TimeSec = tSec
-	cp.Throughput = in.thr
-	cp.Workload = active
-	cp.ResponseTimeSec = resp
-	cp.SystemLoad = busy
-	cp.DiskUsedMB = in.diskMB
-	cp.SwapFreeMB = swapMB
-	cp.NumProcesses = baseProcesses
-	cp.SystemMemUsedMB = otherProcsMB + tomcatMem
-	cp.TomcatMemUsedMB = tomcatMem
-	cp.NumThreads = threads
-	cp.NumHTTPConns = active * 0.5
-	cp.NumMySQLConns = conns
-	cp.YoungMaxMB = youngMaxMB
-	cp.OldMaxMB = oldMaxMB
-	cp.YoungUsedMB = youngUsed
-	cp.OldUsedMB = in.oldUsedMB
-	cp.YoungPct = 100 * youngUsed / youngMaxMB
-	cp.OldPct = 100 * in.oldUsedMB / oldMaxMB
-	cp.TTFSec = 0
-	return false
-}
-
-// stepThread serves the wall-time thread-leak class: the heap stays at its
-// base (respBase0) and in.thrRate > 0 by kind selection, so the leak guard is
-// folded away while the leak arithmetic stays verbatim.
-func (in *instance) stepThread(tSec, dtSec float64, cp *monitor.Checkpoint) bool {
-	active := in.activeEBs(tSec)
-	resp := respBase0 + in.src.Normal(0, 0.004)
-	if resp < 0.01 {
-		resp = 0.01
-	}
-	in.thr = active / (thinkTimeSec + resp)
-
-	in.leakThreads += in.thrRate*dtSec + in.src.Normal(0, 0.25)
-	if in.leakThreads < 0 {
-		in.leakThreads = 0
-	}
-
-	busy := in.thr * resp
-	threads := baseThreads + busy + in.leakThreads
-	conns := 0.5 * busy
-	if in.oldUsedMB >= oldMaxMB || threads >= maxThreads || conns >= maxDBConns {
-		return true
-	}
-
-	ttf := monitor.InfiniteTTFSec
-	if in.thrRate > 1e-9 {
-		if v := (maxThreads - threads) / in.thrRate; v < ttf {
-			ttf = v
-		}
-	}
-	in.refTTFSec = ttf
-	in.diskMB += in.thr * dtSec * logMBPerRequest
-	youngUsed := in.src.Float64Between(16, youngMaxMB*0.85)
-	tomcatMem := jvmBaseMB + in.oldUsedMB + youngUsed + stackMBPerThread*threads
-	// Checkpoint epilogue by field stores; see stepGeneric's comment.
-	cp.TimeSec = tSec
-	cp.Throughput = in.thr
-	cp.Workload = active
-	cp.ResponseTimeSec = resp
-	cp.SystemLoad = busy
-	cp.DiskUsedMB = in.diskMB
-	cp.SwapFreeMB = swapMB
-	cp.NumProcesses = baseProcesses
-	cp.SystemMemUsedMB = otherProcsMB + tomcatMem
-	cp.TomcatMemUsedMB = tomcatMem
-	cp.NumThreads = threads
-	cp.NumHTTPConns = active * 0.5
-	cp.NumMySQLConns = conns
-	cp.YoungMaxMB = youngMaxMB
-	cp.OldMaxMB = oldMaxMB
-	cp.YoungUsedMB = youngUsed
-	cp.OldUsedMB = in.oldUsedMB
-	cp.YoungPct = 100 * youngUsed / youngMaxMB
-	cp.OldPct = 100 * in.oldUsedMB / oldMaxMB
-	cp.TTFSec = 0
-	return false
-}
-
-// stepConn serves the connection-leak class: heapPressure is frozen at its
-// base, so the pressure sum is respPressure0 plus the live connection term;
-// in.connRate > 0 by kind selection folds the leak guard away.
-func (in *instance) stepConn(tSec, dtSec float64, cp *monitor.Checkpoint) bool {
-	active := in.activeEBs(tSec)
-	connPressure := in.leakConns / maxDBConns
-	resp := baseRespSec*(respPressure0+pow4(connPressure)) + in.src.Normal(0, 0.004)
-	if resp < 0.01 {
-		resp = 0.01
-	}
-	in.thr = active / (thinkTimeSec + resp)
-
-	in.leakConns += in.connRate*dtSec + in.src.Normal(0, 0.15)
-	if in.leakConns < 0 {
-		in.leakConns = 0
-	}
-
-	busy := in.thr * resp
-	threads := baseThreads + busy
-	busyConns := 0.5 * busy
-	conns := busyConns + in.leakConns
-	if in.oldUsedMB >= oldMaxMB || threads >= maxThreads || conns >= maxDBConns {
-		return true
-	}
-
-	ttf := monitor.InfiniteTTFSec
-	if in.connRate > 1e-9 {
-		if v := (maxDBConns - conns) / in.connRate; v < ttf {
-			ttf = v
-		}
-	}
-	in.refTTFSec = ttf
-	in.diskMB += in.thr * dtSec * logMBPerRequest
-	youngUsed := in.src.Float64Between(16, youngMaxMB*0.85)
-	tomcatMem := jvmBaseMB + in.oldUsedMB + youngUsed + stackMBPerThread*threads
-	// Checkpoint epilogue by field stores; see stepGeneric's comment.
-	cp.TimeSec = tSec
-	cp.Throughput = in.thr
-	cp.Workload = active
-	cp.ResponseTimeSec = resp
-	cp.SystemLoad = busy
-	cp.DiskUsedMB = in.diskMB
-	cp.SwapFreeMB = swapMB
-	cp.NumProcesses = baseProcesses
-	cp.SystemMemUsedMB = otherProcsMB + tomcatMem
-	cp.TomcatMemUsedMB = tomcatMem
-	cp.NumThreads = threads
-	cp.NumHTTPConns = active * 0.5
-	cp.NumMySQLConns = conns
-	cp.YoungMaxMB = youngMaxMB
-	cp.OldMaxMB = oldMaxMB
-	cp.YoungUsedMB = youngUsed
-	cp.OldUsedMB = in.oldUsedMB
-	cp.YoungPct = 100 * youngUsed / youngMaxMB
-	cp.OldPct = 100 * in.oldUsedMB / oldMaxMB
-	cp.TTFSec = 0
-	return false
-}
-
-// stepMemThread serves the combined two-resource class (experiment 4.4):
-// the memory and thread blocks of the generic stepper back to back, with
-// only the connection fault's terms elided.
-func (in *instance) stepMemThread(tSec, dtSec float64, cp *monitor.Checkpoint) bool {
-	active := in.activeEBs(tSec)
-	heapPressure := in.oldUsedMB / oldMaxMB
-	resp := baseRespSec*(1+3*pow4(heapPressure)) + in.src.Normal(0, 0.004)
-	if resp < 0.01 {
-		resp = 0.01
-	}
-	in.thr = active / (thinkTimeSec + resp)
-
-	memRate := in.thr * searchFrac * in.memPerHit
-	if memRate > 0 {
-		in.oldUsedMB += memRate*dtSec + in.src.Normal(0, 0.4)
-		if in.oldUsedMB < oldBaseMB {
-			in.oldUsedMB = oldBaseMB
-		}
-	}
-	in.leakThreads += in.thrRate*dtSec + in.src.Normal(0, 0.25)
-	if in.leakThreads < 0 {
-		in.leakThreads = 0
-	}
-
-	busy := in.thr * resp
-	threads := baseThreads + busy + in.leakThreads
-	conns := 0.5 * busy
-	if in.oldUsedMB >= oldMaxMB || threads >= maxThreads || conns >= maxDBConns {
-		return true
-	}
-
-	ttf := monitor.InfiniteTTFSec
-	if memRate > 1e-9 {
-		if v := (oldMaxMB - in.oldUsedMB) / memRate; v < ttf {
-			ttf = v
-		}
-	}
-	if in.thrRate > 1e-9 {
-		if v := (maxThreads - threads) / in.thrRate; v < ttf {
-			ttf = v
-		}
-	}
-	in.refTTFSec = ttf
-	in.diskMB += in.thr * dtSec * logMBPerRequest
-	youngUsed := in.src.Float64Between(16, youngMaxMB*0.85)
-	tomcatMem := jvmBaseMB + in.oldUsedMB + youngUsed + stackMBPerThread*threads
-	// Checkpoint epilogue by field stores; see stepGeneric's comment.
 	cp.TimeSec = tSec
 	cp.Throughput = in.thr
 	cp.Workload = active

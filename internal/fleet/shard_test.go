@@ -135,11 +135,11 @@ func TestModelBatchEviction(t *testing.T) {
 	}
 }
 
-// TestTickZeroAllocs pins the hot-path allocation budget of the tentpole: in
-// steady state a pool tick — step every instance, stage features, batch
-// predict, record results — allocates nothing, and neither does an idle
-// controller advance. Uses a mixed population (every class present) so all
-// specialised steppers and the staging/predict path are exercised.
+// TestTickZeroAllocs pins the hot-path allocation budget: in steady state a
+// pool tick — step every instance, stage features, batch predict, record
+// results — allocates nothing, and neither does an idle controller advance.
+// Uses a mixed population (every class present) so every fault branch of the
+// stepper and the staging/predict path are exercised.
 func TestTickZeroAllocs(t *testing.T) {
 	model := testModel(t)
 	specs := Specs(3, 32)
