@@ -29,19 +29,13 @@
 //	        triggerRejuvenation()
 //	    }
 //	}
-//
-// The mutable Predictor type predates the Model/Session split and remains as
-// a deprecated shim over it.
 package core
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"time"
 
-	"agingpred/internal/dataset"
-	"agingpred/internal/evalx"
 	"agingpred/internal/features"
 	"agingpred/internal/linreg"
 	"agingpred/internal/m5p"
@@ -212,172 +206,6 @@ type Prediction struct {
 	CrashExpected bool
 }
 
-// Predictor fuses a Model and a single Session behind one mutable type.
-//
-// Deprecated: use Train (or DecodeModel) to obtain an immutable Model and
-// Model.NewSession for per-stream on-line state. The mapping is mechanical:
-//
-//	NewPredictor(cfg) + Train(series)  →  core.Train(cfg, series)
-//	NewPredictor(cfg) + TrainDataset(ds) → core.TrainDataset(cfg, ds)
-//	p.Observe(cp)                      →  sess := model.NewSession(); sess.Observe(cp)
-//	p.Clone()                          →  model.NewSession()
-//	p.ResetOnline()                    →  sess.Reset()
-//	p.PredictRow(attrs, row)           →  model.PredictRow(timeSec, attrs, row)
-//	p.Evaluate / p.PredictSeries / p.RootCause / p.ModelDescription
-//	                                   →  the same methods on Model
-//
-// The shim remains so existing call sites keep compiling; it will not grow
-// new behaviour.
-//
-// Deprecation timeline: frozen since the v1 Model/Session split. New code —
-// including new code inside this repository — must not use it; the serving
-// stack (fleet, experiments, the commands, the adaptive supervisor) is
-// entirely on Model/Session. The shim will be deleted in the next major API
-// revision, once the remaining legacy test fixtures in this package are
-// migrated.
-type Predictor struct {
-	cfg    Config
-	schema *features.Schema
-	model  *Model
-	sess   *Session
-}
-
-// NewPredictor creates an untrained Predictor from the configuration.
-//
-// Deprecated: use Train, which returns an immutable Model directly.
-func NewPredictor(cfg Config) (*Predictor, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	cfg = cfg.withDefaults()
-	return &Predictor{cfg: cfg, schema: cfg.Schema}, nil
-}
-
-// Config returns the effective configuration.
-func (p *Predictor) Config() Config { return p.cfg }
-
-// Schema returns the feature schema the predictor extracts and predicts on.
-func (p *Predictor) Schema() *features.Schema { return p.schema }
-
-// Trained reports whether the predictor has a model.
-func (p *Predictor) Trained() bool { return p.model != nil }
-
-// Model returns the immutable trained model behind the predictor (nil before
-// training). It is the migration path out of the shim: hand the Model to
-// code written against the new API.
-func (p *Predictor) Model() *Model { return p.model }
-
-// Attrs returns the attribute names of the feature vectors the predictor
-// consumes.
-func (p *Predictor) Attrs() []string { return p.schema.Attrs() }
-
-// Train fits the model from one or more monitored executions. It replaces
-// any previously-trained model and resets the on-line state.
-func (p *Predictor) Train(series []*monitor.Series) (TrainReport, error) {
-	m, err := trainEffective(p.cfg, series)
-	if err != nil {
-		return TrainReport{}, err
-	}
-	p.model = m
-	p.sess = m.NewSession()
-	return m.Report(), nil
-}
-
-// TrainDataset fits the model from an already-extracted dataset.
-func (p *Predictor) TrainDataset(ds *dataset.Dataset) (TrainReport, error) {
-	m, err := fitEffective(p.cfg, ds)
-	if err != nil {
-		return TrainReport{}, err
-	}
-	p.model = m
-	p.sess = m.NewSession()
-	return m.Report(), nil
-}
-
-// ResetOnline clears the on-line sliding-window state (use after a
-// rejuvenation action or when switching to a different server). It reuses
-// the existing buffers, so a fleet-scale rejuvenation wave allocates
-// nothing.
-func (p *Predictor) ResetOnline() {
-	if p.sess != nil {
-		p.sess.Reset()
-	}
-}
-
-// Clone returns a new Predictor that shares the receiver's trained model but
-// owns fresh on-line sliding-window state — the pre-Session spelling of
-// Model.NewSession. Cloning an untrained predictor yields an untrained
-// predictor.
-func (p *Predictor) Clone() *Predictor {
-	c := &Predictor{cfg: p.cfg, schema: p.schema, model: p.model}
-	if p.model != nil {
-		c.sess = p.model.NewSession()
-	}
-	return c
-}
-
-// Observe consumes one live checkpoint and returns the prediction for it.
-// In steady state it performs no allocations. Observe is NOT safe for
-// concurrent use: every call mutates the predictor's sliding-window feature
-// state. To serve many checkpoint streams concurrently, give each stream its
-// own Session (or Clone).
-func (p *Predictor) Observe(cp monitor.Checkpoint) (Prediction, error) {
-	if p.sess == nil {
-		return Prediction{}, errors.New("core: predictor is not trained")
-	}
-	return p.sess.Observe(cp)
-}
-
-// PredictRow predicts the time to failure for a single already-extracted
-// feature vector issued at an unknown time (the returned Prediction carries
-// TimeSec 0; Model.PredictRow accepts the checkpoint time explicitly).
-func (p *Predictor) PredictRow(attrs []string, row []float64) (Prediction, error) {
-	if p.model == nil {
-		return Prediction{}, errors.New("core: predictor is not trained")
-	}
-	return p.model.PredictRow(0, attrs, row)
-}
-
-// EvaluateDataset evaluates the predictor on an already-extracted dataset
-// whose target column holds the true time to failure. It is the CSV-level
-// counterpart of Evaluate.
-func (p *Predictor) EvaluateDataset(ds *dataset.Dataset, opts evalx.Options) (evalx.Report, error) {
-	if p.model == nil {
-		return evalx.Report{}, errors.New("core: predictor is not trained")
-	}
-	return p.model.EvaluateDataset(ds, 0, opts)
-}
-
-// PredictSeries replays a monitored series through the predictor (with fresh
-// on-line state) and returns one evalx.Prediction per checkpoint, pairing
-// the model output with the series' true TTF labels. The predictor's own
-// on-line state is left untouched (the replay runs on a private session).
-func (p *Predictor) PredictSeries(s *monitor.Series) ([]evalx.Prediction, error) {
-	if p.model == nil {
-		return nil, errors.New("core: predictor is not trained")
-	}
-	return p.model.PredictSeries(s)
-}
-
-// PredictSeriesAgainst is like PredictSeries but evaluates the model output
-// against caller-supplied reference TTF labels instead of the series' own
-// labels.
-func (p *Predictor) PredictSeriesAgainst(s *monitor.Series, referenceTTF []float64) ([]evalx.Prediction, error) {
-	if p.model == nil {
-		return nil, errors.New("core: predictor is not trained")
-	}
-	return p.model.PredictSeriesAgainst(s, referenceTTF)
-}
-
-// Evaluate replays a test series and computes the paper's accuracy metrics
-// (MAE, S-MAE, PRE-MAE, POST-MAE).
-func (p *Predictor) Evaluate(s *monitor.Series, opts evalx.Options) (evalx.Report, error) {
-	if p.model == nil {
-		return evalx.Report{}, errors.New("core: predictor is not trained")
-	}
-	return p.model.Evaluate(s, opts)
-}
-
 // RootCauseHint is one clue extracted from the structure of the learned
 // model: an attribute the model consults prominently when deciding how long
 // the system has left.
@@ -391,24 +219,6 @@ type RootCauseHint struct {
 	Depth int
 	// Splits is how many nodes across the whole tree test this attribute.
 	Splits int
-}
-
-// RootCause inspects the learned model and returns hints about which
-// resources are implicated in the coming failure, most significant first.
-func (p *Predictor) RootCause(maxDepth int) ([]RootCauseHint, error) {
-	if p.model == nil {
-		return nil, errors.New("core: predictor is not trained")
-	}
-	return p.model.RootCause(maxDepth)
-}
-
-// ModelDescription returns a human-readable rendering of the learned model
-// (the full M5P tree with its leaf equations, or the regression formula).
-func (p *Predictor) ModelDescription() string {
-	if p.model == nil {
-		return "(untrained)"
-	}
-	return p.model.Description()
 }
 
 // FormatRootCause renders root-cause hints as a short human-readable report.

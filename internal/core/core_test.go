@@ -1,10 +1,8 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -66,44 +64,21 @@ func TestConfigValidation(t *testing.T) {
 	if err := (Config{Model: "bogus"}).Validate(); err == nil {
 		t.Fatalf("bogus model accepted")
 	}
-	if _, err := NewPredictor(Config{Model: "bogus"}); err == nil {
-		t.Fatalf("NewPredictor with bogus model succeeded")
+	if _, err := Train(Config{Model: "bogus"}, []*monitor.Series{leakSeries("train", 50, 2, 0.3)}); err == nil {
+		t.Fatalf("Train with bogus model succeeded")
 	}
-	p, err := NewPredictor(Config{})
-	if err != nil {
-		t.Fatalf("NewPredictor: %v", err)
-	}
-	cfg := p.Config()
+	cfg := trainedOn(t, Config{}).Config()
 	if cfg.Model != ModelM5P || cfg.WindowLength != features.DefaultWindowLength ||
 		cfg.MinLeafInstances != 10 || cfg.InfiniteTTF != 10800*time.Second {
 		t.Fatalf("defaults not applied: %+v", cfg)
 	}
-	if p.Trained() {
-		t.Fatalf("fresh predictor claims to be trained")
-	}
-	if got := p.ModelDescription(); got != "(untrained)" {
-		t.Fatalf("untrained description = %q", got)
-	}
 }
 
-func TestUntrainedPredictorErrors(t *testing.T) {
-	p, err := NewPredictor(Config{})
-	if err != nil {
-		t.Fatalf("NewPredictor: %v", err)
-	}
-	if _, err := p.Observe(monitor.Checkpoint{}); err == nil {
-		t.Fatalf("Observe on untrained predictor succeeded")
-	}
-	if _, err := p.PredictSeries(&monitor.Series{Checkpoints: []monitor.Checkpoint{{}}}); err == nil {
-		t.Fatalf("PredictSeries on untrained predictor succeeded")
-	}
-	if _, err := p.RootCause(2); err == nil {
-		t.Fatalf("RootCause on untrained predictor succeeded")
-	}
-	if _, err := p.Train(nil); err == nil {
+func TestTrainRejectsEmptyInput(t *testing.T) {
+	if _, err := Train(Config{}, nil); err == nil {
 		t.Fatalf("Train with no series succeeded")
 	}
-	if _, err := p.TrainDataset(nil); err == nil {
+	if _, err := TrainDataset(Config{}, nil); err == nil {
 		t.Fatalf("TrainDataset(nil) succeeded")
 	}
 }
@@ -114,17 +89,11 @@ func TestTrainPredictEvaluateM5P(t *testing.T) {
 	}
 	train, test := agingSeries(t)
 
-	p, err := NewPredictor(Config{Model: ModelM5P})
-	if err != nil {
-		t.Fatalf("NewPredictor: %v", err)
-	}
-	report, err := p.Train(train)
+	m, err := Train(Config{Model: ModelM5P}, train)
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
-	if !p.Trained() {
-		t.Fatalf("predictor not marked trained")
-	}
+	report := m.Report()
 	if report.Instances < 100 || report.Leaves < 1 {
 		t.Fatalf("implausible training report: %+v", report)
 	}
@@ -132,7 +101,7 @@ func TestTrainPredictEvaluateM5P(t *testing.T) {
 		t.Fatalf("report string = %q", report.String())
 	}
 
-	rep, err := p.Evaluate(test, evalx.Options{})
+	rep, err := m.Evaluate(test, evalx.Options{})
 	if err != nil {
 		t.Fatalf("Evaluate: %v", err)
 	}
@@ -154,8 +123,8 @@ func TestTrainPredictEvaluateM5P(t *testing.T) {
 	}
 
 	// The model description includes the tree rendering.
-	if !strings.Contains(p.ModelDescription(), "M5P model tree") {
-		t.Fatalf("ModelDescription does not render the tree")
+	if !strings.Contains(m.Description(), "M5P model tree") {
+		t.Fatalf("Description does not render the tree")
 	}
 }
 
@@ -168,14 +137,11 @@ func TestM5PBeatsLinearRegressionOnAgingData(t *testing.T) {
 	// The comparison uses the paper's experiment 4.1 variable set (no heap
 	// zone information), which is the setting Table 3 reports.
 	evalModel := func(kind ModelKind) evalx.Report {
-		p, err := NewPredictor(Config{Model: kind, Variables: features.NoHeapSet})
+		m, err := Train(Config{Model: kind, Variables: features.NoHeapSet}, train)
 		if err != nil {
-			t.Fatalf("NewPredictor(%s): %v", kind, err)
-		}
-		if _, err := p.Train(train); err != nil {
 			t.Fatalf("Train(%s): %v", kind, err)
 		}
-		rep, err := p.Evaluate(test, evalx.Options{Model: string(kind)})
+		rep, err := m.Evaluate(test, evalx.Options{Model: string(kind)})
 		if err != nil {
 			t.Fatalf("Evaluate(%s): %v", kind, err)
 		}
@@ -194,25 +160,21 @@ func TestRegressionTreeModelWorks(t *testing.T) {
 		t.Skip("end-to-end training is a multi-second test")
 	}
 	train, test := agingSeries(t)
-	p, err := NewPredictor(Config{Model: ModelRegressionTree})
-	if err != nil {
-		t.Fatalf("NewPredictor: %v", err)
-	}
-	report, err := p.Train(train)
+	m, err := Train(Config{Model: ModelRegressionTree}, train)
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
-	if report.Leaves < 2 {
-		t.Fatalf("regression tree has %d leaves", report.Leaves)
+	if leaves := m.Report().Leaves; leaves < 2 {
+		t.Fatalf("regression tree has %d leaves", leaves)
 	}
-	rep, err := p.Evaluate(test, evalx.Options{})
+	rep, err := m.Evaluate(test, evalx.Options{})
 	if err != nil {
 		t.Fatalf("Evaluate: %v", err)
 	}
 	if math.IsNaN(rep.MAE) || rep.MAE <= 0 {
 		t.Fatalf("regression tree MAE = %v", rep.MAE)
 	}
-	if _, err := p.RootCause(2); err == nil {
+	if _, err := m.RootCause(2); err == nil {
 		t.Fatalf("RootCause on a non-M5P model succeeded")
 	}
 }
@@ -222,23 +184,21 @@ func TestObserveOnlinePredictionsAdapt(t *testing.T) {
 		t.Skip("end-to-end training is a multi-second test")
 	}
 	train, test := agingSeries(t)
-	p, err := NewPredictor(Config{})
+	m, err := Train(Config{}, train)
 	if err != nil {
-		t.Fatalf("NewPredictor: %v", err)
-	}
-	if _, err := p.Train(train); err != nil {
 		t.Fatalf("Train: %v", err)
 	}
 	// Feed the test run checkpoint by checkpoint; the prediction near the
 	// end must be far smaller than at the middle, and all predictions are
 	// finite and clamped to the configured horizon.
+	sess := m.NewSession()
 	var mid, last Prediction
 	for i, cp := range test.Checkpoints {
-		pred, err := p.Observe(cp)
+		pred, err := sess.Observe(cp)
 		if err != nil {
 			t.Fatalf("Observe: %v", err)
 		}
-		if pred.TTFSec < 0 || pred.TTFSec > p.Config().InfiniteTTF.Seconds() {
+		if pred.TTFSec < 0 || pred.TTFSec > m.Config().InfiniteTTF.Seconds() {
 			t.Fatalf("prediction out of range: %v", pred.TTFSec)
 		}
 		if i == test.Len()/2 {
@@ -262,18 +222,15 @@ func TestPredictSeriesAgainstReferenceLabels(t *testing.T) {
 		t.Skip("end-to-end training is a multi-second test")
 	}
 	train, test := agingSeries(t)
-	p, err := NewPredictor(Config{})
+	m, err := Train(Config{}, train)
 	if err != nil {
-		t.Fatalf("NewPredictor: %v", err)
-	}
-	if _, err := p.Train(train); err != nil {
 		t.Fatalf("Train: %v", err)
 	}
 	ref := make([]float64, test.Len())
 	for i := range ref {
 		ref[i] = 1234
 	}
-	preds, err := p.PredictSeriesAgainst(test, ref)
+	preds, err := m.PredictSeriesAgainst(test, ref)
 	if err != nil {
 		t.Fatalf("PredictSeriesAgainst: %v", err)
 	}
@@ -282,7 +239,7 @@ func TestPredictSeriesAgainstReferenceLabels(t *testing.T) {
 			t.Fatalf("reference label not applied: %v", pr.TrueTTF)
 		}
 	}
-	if _, err := p.PredictSeriesAgainst(test, ref[:3]); err == nil {
+	if _, err := m.PredictSeriesAgainst(test, ref[:3]); err == nil {
 		t.Fatalf("mismatched reference length accepted")
 	}
 }
@@ -292,14 +249,11 @@ func TestRootCausePointsAtMemory(t *testing.T) {
 		t.Skip("end-to-end training is a multi-second test")
 	}
 	train, _ := agingSeries(t)
-	p, err := NewPredictor(Config{})
+	m, err := Train(Config{}, train)
 	if err != nil {
-		t.Fatalf("NewPredictor: %v", err)
-	}
-	if _, err := p.Train(train); err != nil {
 		t.Fatalf("Train: %v", err)
 	}
-	hints, err := p.RootCause(0) // 0 = default depth
+	hints, err := m.RootCause(0) // 0 = default depth
 	if err != nil {
 		t.Fatalf("RootCause: %v", err)
 	}
@@ -332,93 +286,17 @@ func TestPredictSeriesValidation(t *testing.T) {
 		t.Skip("end-to-end training is a multi-second test")
 	}
 	train, _ := agingSeries(t)
-	p, err := NewPredictor(Config{})
+	m, err := Train(Config{}, train)
 	if err != nil {
-		t.Fatalf("NewPredictor: %v", err)
-	}
-	if _, err := p.Train(train); err != nil {
 		t.Fatalf("Train: %v", err)
 	}
-	if _, err := p.PredictSeries(nil); err == nil {
+	if _, err := m.PredictSeries(nil); err == nil {
 		t.Fatalf("PredictSeries(nil) succeeded")
 	}
-	if _, err := p.PredictSeries(&monitor.Series{}); err == nil {
+	if _, err := m.PredictSeries(&monitor.Series{}); err == nil {
 		t.Fatalf("PredictSeries of empty series succeeded")
 	}
-	if _, err := p.Evaluate(&monitor.Series{}, evalx.Options{}); err == nil {
+	if _, err := m.Evaluate(&monitor.Series{}, evalx.Options{}); err == nil {
 		t.Fatalf("Evaluate of empty series succeeded")
-	}
-}
-
-// TestCloneUntrained verifies a clone of an untrained predictor is itself
-// untrained and rejects Observe.
-func TestCloneUntrained(t *testing.T) {
-	p, err := NewPredictor(Config{})
-	if err != nil {
-		t.Fatalf("NewPredictor: %v", err)
-	}
-	c := p.Clone()
-	if c.Trained() {
-		t.Fatalf("clone of an untrained predictor claims to be trained")
-	}
-	if _, err := c.Observe(monitor.Checkpoint{}); err == nil {
-		t.Fatalf("untrained clone accepted Observe")
-	}
-}
-
-// TestCloneConcurrentObserve is the race-detector test behind the fleet
-// subsystem: one predictor is trained once, then read-only clones replay the
-// same checkpoint stream concurrently on sibling goroutines. Under
-// `go test -race` this proves the trained model is safe to share; the test
-// additionally asserts every clone reproduces the single-threaded
-// predictions bit-for-bit.
-func TestCloneConcurrentObserve(t *testing.T) {
-	if testing.Short() {
-		t.Skip("end-to-end training is a multi-second test")
-	}
-	train, test := agingSeries(t)
-	p, err := NewPredictor(Config{})
-	if err != nil {
-		t.Fatalf("NewPredictor: %v", err)
-	}
-	if _, err := p.Train(train); err != nil {
-		t.Fatalf("Train: %v", err)
-	}
-	want, err := p.PredictSeries(test)
-	if err != nil {
-		t.Fatalf("PredictSeries: %v", err)
-	}
-
-	const clones = 8
-	errs := make([]error, clones)
-	var wg sync.WaitGroup
-	for g := 0; g < clones; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			c := p.Clone()
-			if !c.Trained() {
-				errs[g] = fmt.Errorf("clone %d is not trained", g)
-				return
-			}
-			for i, cp := range test.Checkpoints {
-				pred, err := c.Observe(cp)
-				if err != nil {
-					errs[g] = fmt.Errorf("clone %d checkpoint %d: %v", g, i, err)
-					return
-				}
-				if pred.TTFSec != want[i].PredictedTTF {
-					errs[g] = fmt.Errorf("clone %d checkpoint %d: predicted %v, single-threaded path predicted %v",
-						g, i, pred.TTFSec, want[i].PredictedTTF)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
 	}
 }

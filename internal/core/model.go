@@ -59,7 +59,15 @@ func Train(cfg Config, series []*monitor.Series) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return trainEffective(cfg.withDefaults(), series)
+	if len(series) == 0 {
+		return nil, errors.New("core: no training series")
+	}
+	cfg = cfg.withDefaults()
+	ds, err := cfg.Schema.ExtractAll("training", series)
+	if err != nil {
+		return nil, fmt.Errorf("core: extracting training features: %w", err)
+	}
+	return fitEffective(cfg, ds)
 }
 
 // TrainDataset fits a Model from an already-extracted dataset (e.g. loaded
@@ -72,19 +80,6 @@ func TrainDataset(cfg Config, ds *dataset.Dataset) (*Model, error) {
 		return nil, err
 	}
 	return fitEffective(cfg.withDefaults(), ds)
-}
-
-// trainEffective extracts features under the (already-effective) config's
-// schema and fits the model.
-func trainEffective(cfg Config, series []*monitor.Series) (*Model, error) {
-	if len(series) == 0 {
-		return nil, errors.New("core: no training series")
-	}
-	ds, err := cfg.Schema.ExtractAll("training", series)
-	if err != nil {
-		return nil, fmt.Errorf("core: extracting training features: %w", err)
-	}
-	return fitEffective(cfg, ds)
 }
 
 // fitEffective fits the selected model family on the dataset. cfg must

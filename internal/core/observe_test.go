@@ -164,22 +164,16 @@ func TestCustomSchemaKeepsItsWindow(t *testing.T) {
 		Raw("old_used_mb", "MB", func(cp *monitor.Checkpoint) float64 { return cp.OldUsedMB }).
 		SpeedDerivatives("old").
 		MustBuild()
-	p, err := NewPredictor(Config{Schema: schema})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := p.Schema().WindowLength(); got != 40 {
+	m := trainedOn(t, Config{Schema: schema})
+	if got := m.Schema().WindowLength(); got != 40 {
 		t.Fatalf("schema window silently changed to %d, want 40", got)
 	}
-	if got := p.Config().WindowLength; got != 40 {
+	if got := m.Config().WindowLength; got != 40 {
 		t.Fatalf("Config().WindowLength = %d, want the effective 40", got)
 	}
 	// An explicit WindowLength still re-parameterises the schema.
-	p2, err := NewPredictor(Config{Schema: schema, WindowLength: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := p2.Schema().WindowLength(); got != 6 {
+	m2 := trainedOn(t, Config{Schema: schema, WindowLength: 6})
+	if got := m2.Schema().WindowLength(); got != 6 {
 		t.Fatalf("explicit WindowLength ignored: schema window %d, want 6", got)
 	}
 }
