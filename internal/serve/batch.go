@@ -603,6 +603,9 @@ func (sh *batchShard) flush(cause *obs.Counter) {
 		sb.b.Reset()
 		sb.entries = sb.entries[:0]
 	}
+	// Count the flush before any reply leaves: a client that has read its
+	// prediction must find the flush that produced it already counted.
+	cause.Inc()
 	for i, bs := range touched {
 		bs.w.send(bs.pend)
 		bs.pend = nil
@@ -610,7 +613,6 @@ func (sh *batchShard) flush(cause *obs.Counter) {
 	}
 	sh.touched = touched[:0]
 	sh.pending = 0
-	cause.Inc()
 	if sh.timerArmed {
 		if !sh.timer.Stop() {
 			select {

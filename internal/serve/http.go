@@ -186,17 +186,17 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 				refuse(req.Seq, ErrCodeInternal, err.Error())
 				return
 			}
-			ok := reply(StreamReply{Seq: req.Seq, Predict: &StreamPredict{
+			// Metrics before the reply, as on the TCP path.
+			m.predictions.Inc()
+			m.latency.Observe(time.Since(start).Seconds())
+			if !reply(StreamReply{Seq: req.Seq, Predict: &StreamPredict{
 				Epoch:         sess.epochSeq(),
 				TimeSec:       pred.TimeSec,
 				TTFSec:        pred.TTFSec,
 				CrashExpected: pred.CrashExpected,
-			}})
-			if !ok {
+			}}) {
 				return
 			}
-			m.predictions.Inc()
-			m.latency.Observe(time.Since(start).Seconds())
 		case req.Resolve != nil:
 			switch req.Resolve.Kind {
 			case "crash":

@@ -31,13 +31,15 @@ var (
 
 	// Batched-mode series (Config.Batch > 0). Batch latency is the batched
 	// counterpart of agingpred_serve_frame_latency_seconds — observing stage
-	// (checkpoint decoded) to prediction frame fanned out — so the two series
-	// are the scalar-vs-batched latency A/B.
+	// (checkpoint decoded) to prediction frame encoded — so the two series
+	// are the scalar-vs-batched latency A/B. Both are observed before the
+	// reply is handed to the socket, so a client that has read a prediction
+	// finds it counted.
 	mBatchSize = obs.Default.Histogram("agingpred_serve_batch_size",
 		"Rows per cross-connection micro-batch flush.",
 		obs.ExpBuckets(1, 2, 10))
 	mBatchLatency = obs.Default.Histogram("agingpred_serve_batch_latency_seconds",
-		"Batched-mode latency from checkpoint frame decoded to prediction frame fanned out.",
+		"Batched-mode latency from checkpoint frame decoded to prediction frame encoded.",
 		obs.ExpBuckets(1e-6, 4, 10))
 
 	mFlushSize     = flushCounter("size")
@@ -68,7 +70,7 @@ func newTransportMetrics(transport string) *transportMetrics {
 		predictions: obs.Default.Counter("agingpred_serve_predictions_total",
 			"Predictions returned over the network, by transport.", l),
 		latency: obs.Default.Histogram("agingpred_serve_frame_latency_seconds",
-			"Server-side latency from checkpoint frame decoded to prediction frame written.",
+			"Server-side latency from checkpoint frame decoded to prediction frame encoded.",
 			obs.ExpBuckets(1e-6, 4, 10), l),
 	}
 }

@@ -695,11 +695,13 @@ func (s *Server) handleConn(nc net.Conn) {
 				TTFSec:        pred.TTFSec,
 				CrashExpected: pred.CrashExpected,
 			})
+			// Metrics before the reply: once the client can read the
+			// prediction, the counters already account for it.
+			m.predictions.Inc()
+			m.latency.Observe(time.Since(start).Seconds())
 			if _, err := bw.Write(out); err != nil {
 				return
 			}
-			m.predictions.Inc()
-			m.latency.Observe(time.Since(start).Seconds())
 		case FrameResolve:
 			sess.resolve(f.Kind, f.CrashTimeSec)
 		case FrameReset:
