@@ -664,6 +664,14 @@ func (q *qr) reflectBy(k int, norm float64) bool {
 		return false
 	}
 	v := q.a[k][k:]
+	// A column already zero below the pivot needs no reflection: H = I
+	// (LAPACK dlarfg's τ = 0) and R(k,k) is the pivot itself. Forming the
+	// reflector would make v[0] zero and divide by it. The norm of such a
+	// column is exactly |pivot|, so the scan runs only when it can succeed.
+	if math.Abs(v[0]) == norm && allZero(v[1:]) {
+		v[0] = -v[0]
+		return true
+	}
 	if v[0] > 0 {
 		norm = -norm
 	}
@@ -685,6 +693,16 @@ func (q *qr) reflectBy(k int, norm float64) bool {
 	}
 	// The diagonal entry of R is -norm; back-substitution negates it.
 	v[0] = norm
+	return true
+}
+
+// allZero reports whether every element of v is zero.
+func allZero(v []float64) bool {
+	for _, e := range v {
+		if e != 0 {
+			return false
+		}
+	}
 	return true
 }
 

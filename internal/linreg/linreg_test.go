@@ -341,3 +341,41 @@ func TestFitConstantColumnInvarianceProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestExactlyDeterminedDesignSolvesByQR pins the degenerate Householder
+// step: with as many rows as design columns, the last column has nothing
+// below its pivot, so its reflector is the identity. The QR must solve the
+// system exactly, without the ridge fallback, and agree bit for bit with
+// the reference QR.
+func TestExactlyDeterminedDesignSolvesByQR(t *testing.T) {
+	// y = 1 + 2a - 3b through three points.
+	d := &design{
+		y: []float64{3, -2, -4},
+		x: [][]float64{{1, 0, 2}, {0, 1, 3}},
+	}
+	want := []float64{1, 2, -3}
+	q := newQR(len(d.y), len(want))
+	q.load(d, []int{0, 1})
+	got := make([]float64, len(want))
+	if !q.steps(0) || !q.backSubstitute(got) {
+		t.Fatalf("QR failed on an exactly determined design")
+	}
+	for i := range want {
+		if math.Abs(got[i]-want[i]) > 1e-12 {
+			t.Fatalf("coefficient %d = %v, want %v", i, got[i], want[i])
+		}
+	}
+	solved, err := d.solve(newQR(len(d.y), len(want)), []int{0, 1}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, ok := oracleQRSolve([]float64{1, 1, 0, 1, 0, 1, 1, 2, 3}, d.y, 3, 3)
+	if !ok {
+		t.Fatalf("reference QR failed on an exactly determined design")
+	}
+	for i := range want {
+		if solved[i] != got[i] || ref[i] != got[i] {
+			t.Fatalf("coefficient %d: solve %v, QR %v, reference %v", i, solved[i], got[i], ref[i])
+		}
+	}
+}

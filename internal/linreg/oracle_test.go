@@ -202,6 +202,15 @@ func oracleQRSolve(a, b []float64, n, p int) (x []float64, ok bool) {
 		if norm == 0 {
 			return nil, false
 		}
+		below := 0.0
+		for i := k + 1; i < n; i++ {
+			below = math.Hypot(below, r[i*p+k])
+		}
+		if below == 0 {
+			// H = I (LAPACK dlarfg's τ = 0): R(k,k) is the pivot itself.
+			r[k*p+k] = -r[k*p+k]
+			continue
+		}
 		if r[k*p+k] > 0 {
 			norm = -norm
 		}
