@@ -68,9 +68,9 @@ func newTransportMetrics(transport string) *transportMetrics {
 		frames: obs.Default.Counter("agingpred_serve_frames_total",
 			"Frames (or NDJSON lines) received, by transport.", l),
 		predictions: obs.Default.Counter("agingpred_serve_predictions_total",
-			"Predictions returned over the network, by transport.", l),
+			"Predictions made for network clients, by transport, counted before the reply is written.", l),
 		latency: obs.Default.Histogram("agingpred_serve_frame_latency_seconds",
-			"Server-side latency from checkpoint frame decoded to prediction frame encoded.",
+			"Server-side latency from checkpoint frame decoded to prediction made, observed before the reply is written.",
 			obs.ExpBuckets(1e-6, 4, 10), l),
 	}
 }
