@@ -90,7 +90,6 @@
 // (quickstart, saveload, adaptive, rejuvenation, rootcause, webapp-aging,
 // fleet), and
 // the top-level benchmarks in bench_test.go regenerate the paper's results
-// via `go test -bench`. See README.md for the layout and the migration notes
-// from the old core.Predictor surface, and EXPERIMENTS.md for the
-// paper-vs-measured comparison.
+// via `go test -bench`. See README.md for the layout and EXPERIMENTS.md for
+// the paper-vs-measured comparison.
 package agingpred
