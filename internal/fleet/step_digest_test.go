@@ -17,6 +17,15 @@ import (
 // change is a change of the simulated fleet, not of its implementation.
 const stepTrajectoryDigest uint64 = 0x50ce95914f0ab9ba
 
+// fleetPopulationDigest and trainingSpecsDigest are the digests of the two
+// halves of that drive on their own, recorded at the same steppers as
+// stepTrajectoryDigest: the five hand-specialised steppers, which reproduced
+// the generic stepper bit for bit on these very populations.
+const (
+	fleetPopulationDigest uint64 = 0x2271c000cf62a391
+	trainingSpecsDigest   uint64 = 0xfb12f4e54987bec6
+)
+
 // digestFloat feeds one float's bits into h.
 func digestFloat(h hash.Hash64, buf *[8]byte, v float64) {
 	binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
@@ -50,22 +59,56 @@ func digestRun(h hash.Hash64, seed uint64, spec InstanceSpec, ticks int) {
 	}
 }
 
-// TestStepTrajectoryDigest pins the simulator's bits: three heterogeneous
-// fleet populations over six simulated hours and the fixed training
-// population at two seeds over eight, crashes and resets included.
-func TestStepTrajectoryDigest(t *testing.T) {
-	h := fnv.New64a()
+// digestFleetPopulation drives three heterogeneous 200-instance fleet
+// populations over six simulated hours into h.
+func digestFleetPopulation(h hash.Hash64) {
 	for _, seed := range []uint64{1, 5, 42} {
 		for _, spec := range Specs(seed, 200) {
 			digestRun(h, seed, spec, 6*240)
 		}
 	}
+}
+
+// digestTrainingSpecs drives the fixed training population at two seeds over
+// eight simulated hours into h.
+func digestTrainingSpecs(h hash.Hash64) {
 	for _, seed := range []uint64{1, 9} {
 		for _, spec := range trainingSpecs() {
 			digestRun(h, seed+1e6, spec, 8*240)
 		}
 	}
+}
+
+// TestStepTrajectoryDigest pins the simulator's bits: three heterogeneous
+// fleet populations over six simulated hours and the fixed training
+// population at two seeds over eight, crashes and resets included.
+func TestStepTrajectoryDigest(t *testing.T) {
+	h := fnv.New64a()
+	digestFleetPopulation(h)
+	digestTrainingSpecs(h)
 	if got := h.Sum64(); got != stepTrajectoryDigest {
 		t.Fatalf("trajectory digest %#016x, want %#016x", got, stepTrajectoryDigest)
+	}
+}
+
+// TestStepEquivalenceFleetPopulation holds the stepper to the trajectories
+// the specialised steppers drew for the heterogeneous fleet populations, so a
+// divergence is attributed to the served fleet rather than the training set.
+func TestStepEquivalenceFleetPopulation(t *testing.T) {
+	h := fnv.New64a()
+	digestFleetPopulation(h)
+	if got := h.Sum64(); got != fleetPopulationDigest {
+		t.Fatalf("fleet population digest %#016x, want %#016x", got, fleetPopulationDigest)
+	}
+}
+
+// TestStepEquivalenceTrainingSpecs does the same for the training
+// population: the executions the shared model is fitted on must be exactly as
+// bit-stable as the served fleet.
+func TestStepEquivalenceTrainingSpecs(t *testing.T) {
+	h := fnv.New64a()
+	digestTrainingSpecs(h)
+	if got := h.Sum64(); got != trainingSpecsDigest {
+		t.Fatalf("training specs digest %#016x, want %#016x", got, trainingSpecsDigest)
 	}
 }
