@@ -54,8 +54,9 @@
 // (metrics are observation-only). The -events journal is itself
 // deterministic: same seed, same bytes, whatever the shard count.
 // Human-readable output is the default; -json emits the machine-readable
-// report on stdout with a final metrics snapshot under "metrics" (progress
-// goes to stderr, so the JSON stays clean for pipelines).
+// report on stdout and nothing else. Progress, the wall-clock line and the
+// final metrics snapshot (one "metrics: {...}" JSON line, wall-clock series
+// included) go to stderr, so the JSON stays clean for pipelines.
 package main
 
 import (
@@ -64,6 +65,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -78,14 +80,17 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "agingfleet:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+// run is the whole command: the report goes to stdout, progress, wall-clock
+// figures and the -json metrics snapshot to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("agingfleet", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
 		instances  = fs.Int("instances", 100, "fleet size (simulated application-server instances)")
 		shards     = fs.Int("shards", runtime.GOMAXPROCS(0), "predictor worker shards (affects speed only, never results)")
@@ -100,7 +105,7 @@ func run(args []string) error {
 		adaptive   = fs.Bool("adaptive", false, "adaptive serving: drift detection, background retraining on collected crashes, hot model-epoch swaps")
 		retrainLat = fs.Duration("retrain-latency", 0, "simulated time between a drift-triggered retrain and its epoch going live (0 = 10m; needs -adaptive)")
 		baseline   = fs.Duration("drift-baseline", 0, "pin the healthy prediction MAE the drift detector compares against (0 = auto-calibrate per epoch; set this when -load-ing an artifact that may already be stale, since auto-calibration would absorb its misfit; needs -adaptive)")
-		jsonOut    = fs.Bool("json", false, "emit the machine-readable JSON report on stdout (with a final metrics snapshot under \"metrics\")")
+		jsonOut    = fs.Bool("json", false, "emit the machine-readable JSON report on stdout, byte-identical for a seed (the final metrics snapshot goes to stderr as one \"metrics: {...}\" line)")
 		listen     = fs.String("listen", "", "serve /metrics (Prometheus text format), /healthz and /debug/pprof on this address while the fleet runs (e.g. :9090)")
 		events     = fs.String("events", "", "write the run's lifecycle events (crashes, rejuvenations, drift trips, retrains, epoch swaps) as JSONL to this file")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file (inspect with go tool pprof)")
@@ -161,9 +166,9 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "loaded %s: %s\n", *loadPath, model.Report())
+		fmt.Fprintf(stderr, "loaded %s: %s\n", *loadPath, model.Report())
 	case *savePath != "":
-		fmt.Fprintf(os.Stderr, "training the shared model...\n")
+		fmt.Fprintf(stderr, "training the shared model...\n")
 		model, err = fleet.TrainModelSchema(*seed, fleetSchema)
 		if err != nil {
 			return err
@@ -171,7 +176,7 @@ func run(args []string) error {
 		if err := agingpred.SaveModel(*savePath, model); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "saved model to %s (format v%d); future runs can -load it\n",
+		fmt.Fprintf(stderr, "saved model to %s (format v%d); future runs can -load it\n",
 			*savePath, agingpred.ModelFormatVersion)
 	}
 
@@ -184,7 +189,7 @@ func run(args []string) error {
 			return fmt.Errorf("-listen: %w", err)
 		}
 		defer stopSrv()
-		fmt.Fprintf(os.Stderr, "serving /metrics, /healthz and /debug/pprof on http://%s\n", addr)
+		fmt.Fprintf(stderr, "serving /metrics, /healthz and /debug/pprof on http://%s\n", addr)
 	}
 	var jnl *agingpred.EventJournal
 	if *events != "" {
@@ -199,7 +204,7 @@ func run(args []string) error {
 	if model != nil {
 		verb = "serving"
 	}
-	fmt.Fprintf(os.Stderr, "%s %d instances on %d shards (%v simulated)...\n",
+	fmt.Fprintf(stderr, "%s %d instances on %d shards (%v simulated)...\n",
 		verb, *instances, *shards, *duration)
 	start := time.Now()
 	rep, err := fleet.Run(fleet.Config{
@@ -227,7 +232,7 @@ func run(args []string) error {
 		if errors.Is(err, context.Canceled) {
 			// An interrupt mid-run is a clean operator-requested shutdown, not
 			// a failure; the CI smoke test relies on the zero exit status.
-			fmt.Fprintf(os.Stderr, "agingfleet: %v\n", err)
+			fmt.Fprintf(stderr, "agingfleet: %v\n", err)
 			return nil
 		}
 		return err
@@ -235,23 +240,25 @@ func run(args []string) error {
 	elapsed := time.Since(start).Round(time.Millisecond)
 
 	if *jsonOut {
-		// The report stays the deterministic core; the wall-clock-bearing
-		// metrics snapshot rides alongside it under its own key.
-		js, err := json.MarshalIndent(struct {
-			*fleet.Report
-			Metrics map[string]float64 `json:"metrics"`
-		}{rep, agingpred.Metrics().Snapshot()}, "", "  ")
+		// stdout carries only the deterministic report: the same seed gives
+		// the same bytes. The metrics snapshot holds wall-clock series, so it
+		// goes to stderr beside the wall-clock line, as one JSON line.
+		js, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
 			return err
 		}
-		os.Stdout.Write(js)
-		fmt.Println()
-		fmt.Fprintf(os.Stderr, "wall-clock time: %v (%.0f instance-checkpoints/sec)\n",
+		snap, err := json.Marshal(agingpred.Metrics().Snapshot())
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "%s\n", js)
+		fmt.Fprintf(stderr, "wall-clock time: %v (%.0f instance-checkpoints/sec)\n",
 			elapsed, float64(rep.Checkpoints)/elapsed.Seconds())
+		fmt.Fprintf(stderr, "metrics: %s\n", snap)
 		return nil
 	}
-	fmt.Print(rep.String())
-	fmt.Printf("  wall-clock time: %v (%.0f instance-checkpoints/sec)\n",
+	fmt.Fprint(stdout, rep.String())
+	fmt.Fprintf(stdout, "  wall-clock time: %v (%.0f instance-checkpoints/sec)\n",
 		elapsed, float64(rep.Checkpoints)/elapsed.Seconds())
 	return nil
 }

@@ -10,8 +10,8 @@ import (
 // Stream is the adaptive counterpart of a core.Session: the per-stream
 // serving state of one monitored checkpoint stream under a Supervisor. On
 // top of the session's sliding-window feature state it remembers every
-// prediction it issues (and, when run collection is enabled, the raw
-// checkpoints) until the stream's outcome resolves the labels:
+// prediction it issues (and, when run collection is enabled, the checkpoint
+// history, XOR-delta encoded) until the stream's outcome resolves the labels:
 //
 //   - ResolveCrash scores the remembered predictions against the
 //     now-observable true time to failure, feeds the errors to the drift
@@ -27,7 +27,7 @@ import (
 // for concurrent use itself; streams are the unit of concurrency. The Observe
 // hot path reads the epoch it already holds — it never touches the
 // Supervisor, takes no locks, and in steady state allocates nothing (the
-// prediction and checkpoint buffers are reused across Resets).
+// prediction buffers and the history's blocks are reused across Resets).
 type Stream struct {
 	sup   *Supervisor
 	epoch *Epoch
@@ -37,11 +37,11 @@ type Stream struct {
 	seen  int // checkpoints observed since the last Reset, for warm-up exclusion
 
 	// Pending label resolution: the prediction issued at times[i] was
-	// preds[i] seconds to failure. cps additionally keeps the raw checkpoints
+	// preds[i] seconds to failure. hist additionally keeps the checkpoints
 	// when run collection is on. All three are reused across Resets.
 	times []float64
 	preds []float64
-	cps   []monitor.Checkpoint
+	hist  history
 }
 
 // NewStream creates a fresh adaptive per-stream serving state on the current
@@ -60,9 +60,9 @@ func (st *Stream) Epoch() int { return st.epoch.Seq }
 
 // Observe consumes one live checkpoint and returns the prediction for it,
 // remembering the pair for later label resolution. Steady-state cost is one
-// core.Session.Observe plus three buffered appends — no locks, no Supervisor
-// access, no allocations once the buffers have grown to the stream's usual
-// run length.
+// core.Session.Observe plus two buffered appends and one history push — no
+// locks, no Supervisor access, no allocations once the buffers have grown to
+// the stream's usual run length.
 func (st *Stream) Observe(cp monitor.Checkpoint) (core.Prediction, error) {
 	pred, err := st.sess.Observe(cp)
 	if err != nil {
@@ -82,7 +82,7 @@ func (st *Stream) Session() *core.Session { return st.sess }
 // bookkeeping half of Observe, split out so batch serving can evaluate the
 // session through a core.Batch and still feed the adaptive layer. cp must be
 // the checkpoint the prediction was issued for; it is read, never retained
-// (the collection buffer stores a copy).
+// (the history stores it encoded).
 func (st *Stream) Record(cp *monitor.Checkpoint, pred core.Prediction) {
 	st.seen++
 	if st.seen > st.sup.cfg.WarmupCheckpoints {
@@ -93,7 +93,7 @@ func (st *Stream) Record(cp *monitor.Checkpoint, pred core.Prediction) {
 		st.preds = append(st.preds, pred.TTFSec)
 	}
 	if !st.sup.cfg.DisableCollection {
-		st.cps = append(st.cps, *cp)
+		st.hist.push(cp)
 	}
 }
 
@@ -118,9 +118,12 @@ func (st *Stream) ResolveCrash(crashTimeSec float64) int {
 		n++
 	}
 	st.sup.resolveErrors(st.times[:n])
-	if !st.sup.cfg.DisableCollection && len(st.cps) > 0 {
-		cps := make([]monitor.Checkpoint, 0, len(st.cps))
-		for _, cp := range st.cps {
+	if !st.sup.cfg.DisableCollection && st.hist.n > 0 {
+		// Decode once, then keep and label, in place, the checkpoints up to
+		// the crash.
+		all := st.hist.appendTo(make([]monitor.Checkpoint, 0, st.hist.n))
+		cps := all[:0]
+		for _, cp := range all {
 			if cp.TimeSec > crashTimeSec {
 				continue
 			}
@@ -170,6 +173,6 @@ func (st *Stream) Reset() {
 func (st *Stream) clear() {
 	st.times = st.times[:0]
 	st.preds = st.preds[:0]
-	st.cps = st.cps[:0]
+	st.hist.reset()
 	st.seen = 0
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"sync"
 	"testing"
 
@@ -283,5 +284,50 @@ func BenchmarkObserve(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestSessionResetIsFresh pins reset ≡ fresh at the session: after any prefix
+// and a Reset, every prediction is bit-for-bit a fresh session's, across the
+// feature windows' 4096-push sum recomputations.
+func TestSessionResetIsFresh(t *testing.T) {
+	m := trainedOn(t, Config{})
+	r := rand.New(rand.NewPCG(11, 4096))
+	// The stream replays one training run over and over on a running clock,
+	// with noise down to the last mantissa bit: the predictions stay off the
+	// clamps and the window sums' rounding stays live.
+	run := leakSeries("reset", 300, 2.0, 0.3).Checkpoints
+	stream := func(n int) []monitor.Checkpoint {
+		cps := make([]monitor.Checkpoint, n)
+		for c := range cps {
+			cps[c] = run[c%len(run)]
+			v := cps[c].Vec()
+			v[0] = 15 * float64(c+1)
+			for i := 1; i < monitor.NumFields; i++ {
+				v[i] += 1e-3 * (1 + math.Abs(v[i])) * r.NormFloat64()
+			}
+		}
+		return cps
+	}
+	for _, prefix := range []int{1, 4095, 4097, 6000} {
+		reused := m.NewSession()
+		for _, cp := range stream(prefix) {
+			if _, err := reused.Observe(cp); err != nil {
+				t.Fatal(err)
+			}
+		}
+		reused.Reset()
+		fresh := m.NewSession()
+		for i, cp := range stream(8300) {
+			got, err := reused.Observe(cp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ := fresh.Observe(cp)
+			if math.Float64bits(got.TTFSec) != math.Float64bits(want.TTFSec) {
+				t.Fatalf("reset after %d checkpoints: checkpoint %d predicts %v s, fresh session %v s",
+					prefix, i, got.TTFSec, want.TTFSec)
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package features
 
 import (
 	"math"
+	"math/rand/v2"
 	"strings"
 	"testing"
 	"time"
@@ -301,5 +302,44 @@ func TestExtractFromRealTestbedRun(t *testing.T) {
 	}
 	if ds.TargetValue(ds.Len()-1) > 30 {
 		t.Fatalf("last checkpoint TTF = %v, want close to crash", ds.TargetValue(ds.Len()-1))
+	}
+}
+
+// jittered returns n checkpoints of a linear-leak series with noise added to
+// every gauge down to the last mantissa bit, so float rounding in the sliding
+// sums differs from push to push.
+func jittered(n int, seed uint64) []monitor.Checkpoint {
+	cps := syntheticSeries(n, 1).Checkpoints
+	r := rand.New(rand.NewPCG(seed, 1))
+	for c := range cps {
+		v := cps[c].Vec()
+		for i := 1; i < monitor.NumFields; i++ { // v[0] is the clock
+			v[i] += 1e-3 * (1 + math.Abs(v[i])) * r.NormFloat64()
+		}
+	}
+	return cps
+}
+
+// TestRowExtractorResetIsFresh pins reset ≡ fresh for the compiled extractor:
+// after any prefix and a Reset, every feature row is bit-for-bit the row of a
+// fresh extractor, across the windows' 4096-push sum recomputations.
+func TestRowExtractorResetIsFresh(t *testing.T) {
+	schema := FullSet.Schema()
+	for _, prefix := range []int{1, 4095, 4097, 6000} {
+		reused := schema.Stream()
+		for _, cp := range jittered(prefix, uint64(prefix)) {
+			reused.Step(cp)
+		}
+		reused.Reset()
+		fresh := schema.Stream()
+		for i, cp := range jittered(8300, 7) {
+			got, want := reused.Step(cp), fresh.Step(cp)
+			for j := range want {
+				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+					t.Fatalf("reset after %d checkpoints: checkpoint %d attr %q = %v, fresh extractor %v",
+						prefix, i, schema.Attrs()[j], got[j], want[j])
+				}
+			}
+		}
 	}
 }

@@ -139,23 +139,33 @@ func fit(ds *dataset.Dataset, rows []int32, n int, opts Options) (*Model, error)
 		}
 	}
 
-	d := &design{y: make([]float64, n), x: make([][]float64, len(cols))}
-	for j := range d.x {
-		d.x[j] = make([]float64, n)
+	// gather copies attribute column c of the fitted rows into dst.
+	gather := func(dst []float64, c int) {
+		if rows == nil {
+			for i := range dst {
+				dst[i] = ds.Row(i)[c]
+			}
+			return
+		}
+		for i, r := range rows {
+			dst[i] = ds.Row(int(r))[c]
+		}
 	}
+	d := &design{y: make([]float64, n)}
 	for i := range d.y {
 		r := i
 		if rows != nil {
 			r = int(rows[i])
 		}
-		row := ds.Row(r)
-		for j, c := range cols {
-			d.x[j][i] = row[c]
-		}
 		d.y[i] = ds.TargetValue(r)
 	}
 	if opts.MaxAttrs > 0 && len(cols) > opts.MaxAttrs {
-		cols, d.x = topCorrelatedAmong(d, cols, opts.MaxAttrs)
+		cols = topCorrelatedAmong(d.y, cols, opts.MaxAttrs, gather)
+	}
+	d.x = make([][]float64, len(cols))
+	for j, c := range cols {
+		d.x[j] = make([]float64, n)
+		gather(d.x[j], c)
 	}
 
 	set := make([]int, len(cols))
@@ -433,30 +443,29 @@ func (l *lane) resume(base *qr, drop int) {
 	copy(l.q.y, base.y)
 }
 
-// topCorrelatedAmong returns the k columns of cols (with their gathered
-// values) whose absolute Pearson correlation with the target is largest,
-// in ascending column order.
-func topCorrelatedAmong(d *design, cols []int, k int) ([]int, [][]float64) {
+// topCorrelatedAmong returns the k columns of cols whose absolute Pearson
+// correlation with the target y is largest, in ascending column order.
+// gather(dst, c) copies column c of the fitted rows into dst; each column is
+// scored from one reused scratch buffer, so only the kept columns are ever
+// gathered for good.
+func topCorrelatedAmong(y []float64, cols []int, k int, gather func(dst []float64, c int)) []int {
 	type scored struct {
-		j    int
+		c    int
 		corr float64
 	}
 	scoredCols := make([]scored, 0, len(cols))
-	for j := range cols {
-		scoredCols = append(scoredCols, scored{j: j, corr: math.Abs(pearson(d.x[j], d.y))})
+	x := make([]float64, len(y))
+	for _, c := range cols {
+		gather(x, c)
+		scoredCols = append(scoredCols, scored{c: c, corr: math.Abs(pearson(x, y))})
 	}
 	sort.SliceStable(scoredCols, func(i, j int) bool { return scoredCols[i].corr > scoredCols[j].corr })
 	keep := make([]int, 0, k)
 	for i := 0; i < k && i < len(scoredCols); i++ {
-		keep = append(keep, scoredCols[i].j)
+		keep = append(keep, scoredCols[i].c)
 	}
 	sort.Ints(keep)
-	outCols := make([]int, len(keep))
-	outX := make([][]float64, len(keep))
-	for i, j := range keep {
-		outCols[i], outX[i] = cols[j], d.x[j]
-	}
-	return outCols, outX
+	return keep
 }
 
 func pearson(x, y []float64) float64 {

@@ -22,7 +22,7 @@ type Window struct {
 	size  int // number of valid observations, <= len(buf)
 	next  int // index where the next observation is written
 	sum   float64
-	total uint64 // observations pushed over the window's lifetime
+	total uint64 // observations pushed since construction or the last Reset
 }
 
 // NewWindow returns a window holding at most capacity observations.
@@ -41,7 +41,8 @@ func (w *Window) Capacity() int { return len(w.buf) }
 // Len returns the number of observations currently in the window.
 func (w *Window) Len() int { return w.size }
 
-// Total returns the number of observations pushed over the window's lifetime.
+// Total returns the number of observations pushed since the window was
+// constructed or last Reset.
 func (w *Window) Total() uint64 { return w.total }
 
 // Full reports whether the window holds Capacity observations.
@@ -128,11 +129,14 @@ func (w *Window) StdDev() float64 {
 	return math.Sqrt(ss / float64(w.size))
 }
 
-// Reset empties the window.
+// Reset empties the window. The push count restarts too, so the periodic
+// sum recomputation runs in phase with a fresh window's and a reset window
+// is bit-for-bit a fresh one.
 func (w *Window) Reset() {
 	w.size = 0
 	w.next = 0
 	w.sum = 0
+	w.total = 0
 	for i := range w.buf {
 		w.buf[i] = 0
 	}

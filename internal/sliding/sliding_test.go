@@ -2,6 +2,7 @@ package sliding
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -312,5 +313,75 @@ func TestSpeedTrackerLinearResourceProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// resetPrefixes are the push counts before a Reset in the reset ≡ fresh
+// tests: on either side of the 4096-push sum recomputation, and past it. The
+// pushes after the Reset (resetSuffix) cross two recomputations.
+var resetPrefixes = []int{1, 97, 4095, 4096, 4097, 6000}
+
+const resetSuffix = 8300
+
+// TestWindowResetIsFresh pins reset ≡ fresh: any pushes, a Reset, then any
+// pushes leave a window bit-for-bit equal to a fresh window given only the
+// pushes after the Reset, whatever the prefix's phase against the periodic
+// sum recomputation and the ring wrap.
+func TestWindowResetIsFresh(t *testing.T) {
+	r := rand.New(rand.NewPCG(3, 4096))
+	for _, capacity := range []int{7, 12} {
+		for _, prefix := range resetPrefixes {
+			reused := NewWindow(capacity)
+			for i := 0; i < prefix; i++ {
+				reused.Push(r.NormFloat64() * 1e3)
+			}
+			reused.Reset()
+			fresh := NewWindow(capacity)
+			for i := 0; i < resetSuffix; i++ {
+				v := 0.1 + r.Float64()*1e-2
+				reused.Push(v)
+				fresh.Push(v)
+				if math.Float64bits(reused.Mean()) != math.Float64bits(fresh.Mean()) ||
+					math.Float64bits(reused.StdDev()) != math.Float64bits(fresh.StdDev()) ||
+					reused.Total() != fresh.Total() {
+					t.Fatalf("capacity %d, reset after %d pushes: push %d gives mean %v sd %v total %d, fresh window %v %v %d",
+						capacity, prefix, i+1, reused.Mean(), reused.StdDev(), reused.Total(),
+						fresh.Mean(), fresh.StdDev(), fresh.Total())
+				}
+			}
+		}
+	}
+}
+
+// TestSpeedTrackerResetIsFresh pins reset ≡ fresh one layer up: a reset
+// tracker reports the same speeds and SWA bits as a freshly constructed one.
+func TestSpeedTrackerResetIsFresh(t *testing.T) {
+	r := rand.New(rand.NewPCG(5, 4096))
+	for _, prefix := range resetPrefixes {
+		reused := NewSpeedTracker(12)
+		level := 0.0
+		for i := 0; i <= prefix; i++ {
+			level += r.NormFloat64()
+			if err := reused.Observe(15*float64(i), level); err != nil {
+				t.Fatal(err)
+			}
+		}
+		reused.Reset()
+		fresh := NewSpeedTracker(12)
+		for i := 0; i <= resetSuffix; i++ {
+			level += 1 + r.Float64()
+			ts := 15 * float64(i)
+			if err := reused.Observe(ts, level); err != nil {
+				t.Fatal(err)
+			}
+			if err := fresh.Observe(ts, level); err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(reused.SWA()) != math.Float64bits(fresh.SWA()) ||
+				math.Float64bits(reused.Speed()) != math.Float64bits(fresh.Speed()) {
+				t.Fatalf("reset after %d speed samples: observation %d gives SWA %v, fresh tracker %v",
+					prefix, i, reused.SWA(), fresh.SWA())
+			}
+		}
 	}
 }
