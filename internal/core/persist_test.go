@@ -11,9 +11,11 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"agingpred/internal/features"
 	"agingpred/internal/monitor"
+	"agingpred/internal/testbed"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "regenerate testdata golden files")
@@ -272,30 +274,73 @@ func TestEnvelopeChecksumIsCRC32(t *testing.T) {
 	}
 }
 
-// TestTrainDeterministicAcrossGOMAXPROCS pins that training's concurrent
-// fan-out (sibling subtrees, attribute-elimination trials) never shows in the
-// result: the encoded model is byte-identical whether training runs on one
-// goroutine or fans out across 2 or 8.
-func TestTrainDeterministicAcrossGOMAXPROCS(t *testing.T) {
+// deepTreeSeries is agingSeries' training runs plus four more crash runs at
+// other loads and leak rates: enough data for a tree with dozens of internal
+// nodes, so the fit queue keeps every worker busy.
+func deepTreeSeries(t testing.TB) []*monitor.Series {
+	t.Helper()
 	train, _ := agingSeries(t)
-	for _, cfg := range []Config{
-		{Model: ModelM5P},
-		{Model: ModelM5P, LeafMaxAttrs: 4},
-		{Model: ModelLinearRegression},
+	var cfgs []testbed.RunConfig
+	for _, ebs := range []int{75, 125} {
+		for _, leakN := range []int{15, 60} {
+			cfgs = append(cfgs, testbed.RunConfig{
+				Name:        "crash",
+				Seed:        uint64(ebs + leakN),
+				EBs:         ebs,
+				Phases:      testbed.ConstantLeakPhases(leakN),
+				MaxDuration: 4 * time.Hour,
+			})
+		}
+	}
+	crashes, err := testbed.RunMany(cfgs)
+	if err != nil {
+		t.Fatalf("building crash runs: %v", err)
+	}
+	return append(append([]*monitor.Series(nil), train...), crashes...)
+}
+
+// TestTrainDeterministicAcrossGOMAXPROCS pins that training's concurrent
+// fan-out (sibling subtrees, the node-model fit queue) never shows in the
+// result: the encoded model is byte-identical whether training runs on one
+// goroutine or fans out across 2 or 8, on the small aging set and on one
+// whose tree has at least 30 internal nodes.
+func TestTrainDeterministicAcrossGOMAXPROCS(t *testing.T) {
+	small, _ := agingSeries(t)
+	for _, set := range []struct {
+		name     string
+		series   []*monitor.Series
+		configs  []Config
+		minInner int
+	}{
+		{"aging", small, []Config{
+			{Model: ModelM5P},
+			{Model: ModelM5P, LeafMaxAttrs: 4},
+			{Model: ModelLinearRegression},
+		}, 1},
+		{"deep", deepTreeSeries(t), []Config{ // the fit queue is M5P's alone
+			{Model: ModelM5P},
+			{Model: ModelM5P, LeafMaxAttrs: 4},
+		}, 30},
 	} {
-		var want []byte
-		for _, procs := range []int{1, 2, 8} {
-			prev := runtime.GOMAXPROCS(procs)
-			m, err := Train(cfg, train)
-			runtime.GOMAXPROCS(prev)
-			if err != nil {
-				t.Fatal(err)
-			}
-			raw := encodeToBytes(t, m)
-			if want == nil {
-				want = raw
-			} else if !bytes.Equal(raw, want) {
-				t.Fatalf("%s (LeafMaxAttrs %d): GOMAXPROCS %d encodes differently from GOMAXPROCS 1", cfg.Model, cfg.LeafMaxAttrs, procs)
+		for _, cfg := range set.configs {
+			var want []byte
+			for _, procs := range []int{1, 2, 8} {
+				prev := runtime.GOMAXPROCS(procs)
+				m, err := Train(cfg, set.series)
+				runtime.GOMAXPROCS(prev)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if inner := m.Report().InnerNodes; cfg.Model == ModelM5P && inner < set.minInner {
+					t.Fatalf("%s set: tree has %d internal nodes, want at least %d", set.name, inner, set.minInner)
+				}
+				raw := encodeToBytes(t, m)
+				if want == nil {
+					want = raw
+				} else if !bytes.Equal(raw, want) {
+					t.Fatalf("%s set, %s (LeafMaxAttrs %d): GOMAXPROCS %d encodes differently from GOMAXPROCS 1",
+						set.name, cfg.Model, cfg.LeafMaxAttrs, procs)
+				}
 			}
 		}
 	}

@@ -1,12 +1,15 @@
 // Package fanout bounds the opportunistic parallelism of model training.
 //
 // Training code splits its work into independent tasks whose results land in
-// fixed slots (a subtree's nodes), so the outcome never depends on which
-// goroutine ran a task or when. Fork runs a task on a new goroutine only
-// while fewer than GOMAXPROCS-1 forked tasks are running process-wide, and
-// runs it inline otherwise: with GOMAXPROCS 1 training stays
-// single-goroutine, and nested fan-out (subtrees inside sibling subtrees)
-// never oversubscribes the machine.
+// fixed slots, so the outcome never depends on which goroutine ran a task or
+// when. M5P induction forks two kinds: the growth of a sibling subtree (its
+// nodes and row ranges), and helpers that drain the queue of node model fits
+// beside the caller (each fit writes its own node's model). Fork runs a task
+// on a new goroutine only while fewer than GOMAXPROCS-1 forked tasks are
+// running process-wide, and runs it inline otherwise: with GOMAXPROCS 1
+// training stays single-goroutine, and nested fan-out (subtrees inside
+// sibling subtrees, or experiment cells training side by side) never
+// oversubscribes the machine.
 package fanout
 
 import (

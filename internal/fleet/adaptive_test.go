@@ -2,6 +2,12 @@ package fleet
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"hash/fnv"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -182,5 +188,142 @@ func TestAdaptiveConfigValidation(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatalf("Adaptive + ClassSchemas accepted")
+	}
+}
+
+// tailRetrainConfig is adaptiveTestConfig over four simulated hours. Its
+// last drift trigger falls at t=14280 s, within the 30-minute RetrainLatency
+// of the run's end: an epoch trained from it could never go live.
+func tailRetrainConfig(t testing.TB) Config {
+	cfg := adaptiveTestConfig(t, 2)
+	cfg.Duration = 4 * time.Hour
+	return cfg
+}
+
+// adaptiveReportDigest is the FNV-64a digest of tailRetrainConfig's JSON
+// report. It was recorded while a trigger in the last RetrainLatency still
+// started a retrain, and is never regenerated: which retrains run must not
+// move a byte of what the run reports.
+const adaptiveReportDigest uint64 = 0xdb4b24432fcbd8f3
+
+// TestAdaptiveReportDigest pins the report of an adaptive run whose last
+// trigger cannot publish before the run ends.
+func TestAdaptiveReportDigest(t *testing.T) {
+	rep, err := Run(tailRetrainConfig(t))
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	js, err := rep.JSON()
+	if err != nil {
+		t.Fatalf("JSON: %v", err)
+	}
+	h := fnv.New64a()
+	h.Write(js)
+	if got := h.Sum64(); got != adaptiveReportDigest {
+		t.Fatalf("report digest %#016x, want %#016x:\n%s", got, adaptiveReportDigest, js)
+	}
+}
+
+// TestEveryRetrainStartPublishes holds the fleet to training only epochs
+// the run can publish: each retrain_start in the journal is followed by the
+// retrain_publish of the next epoch before any other retrain event, and the
+// journal starts exactly as many retrains as the report counts.
+func TestEveryRetrainStartPublishes(t *testing.T) {
+	var buf bytes.Buffer
+	jnl := obs.NewJournal(&buf)
+	cfg := tailRetrainConfig(t)
+	cfg.Journal = jnl
+	rep, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if err := jnl.Close(); err != nil {
+		t.Fatalf("journal: %v", err)
+	}
+	starts := 0
+	var open *obs.Event
+	for _, line := range bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n")) {
+		var e obs.Event
+		if err := json.Unmarshal(line, &e); err != nil {
+			t.Fatalf("bad journal line %q: %v", line, err)
+		}
+		switch e.Type {
+		case obs.EventRetrainStart:
+			if open != nil {
+				t.Fatalf("retrain_start %+v while %+v never published", e, *open)
+			}
+			starts++
+			open = &e
+		case obs.EventRetrainPublish:
+			if open == nil || e.Epoch != open.Epoch+1 {
+				t.Fatalf("retrain_publish %+v does not follow a start on epoch %d", e, e.Epoch-1)
+			}
+			open = nil
+		}
+	}
+	if open != nil {
+		t.Fatalf("retrain_start %+v never published", *open)
+	}
+	if starts == 0 || starts != rep.Retrains {
+		t.Fatalf("journal starts %d retrains, report counts %d", starts, rep.Retrains)
+	}
+}
+
+// goroutinesIn counts the goroutines whose stack mentions fn.
+func goroutinesIn(fn string) int {
+	buf := make([]byte, 1<<20)
+	n := 0
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if strings.Contains(g, fn) {
+			n++
+		}
+	}
+	return n
+}
+
+// awaitGoroutines waits up to five seconds for the goroutine count to fall
+// back to base (exited goroutines leave the count asynchronously) and
+// returns the last count seen.
+func awaitGoroutines(base int) int {
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	return runtime.NumGoroutine()
+}
+
+// trainFrame marks a goroutine that is training a model.
+const trainFrame = "agingpred/internal/core.Train("
+
+// retrainCancelCtx reports itself cancelled from the moment a background
+// retrain is seen training, so the run it drives is cancelled mid-retrain.
+type retrainCancelCtx struct{ context.Context }
+
+func (retrainCancelCtx) Err() error {
+	if goroutinesIn(trainFrame) > 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestRunJoinsRetrainOnCancel cancels an adaptive run while a retrain is in
+// flight: Run must not return before the training goroutine has finished,
+// and leaves no goroutine behind.
+func TestRunJoinsRetrainOnCancel(t *testing.T) {
+	cfg := tailRetrainConfig(t)
+	if n := goroutinesIn(trainFrame); n != 0 {
+		t.Fatalf("%d models already training before Run", n)
+	}
+	base := runtime.NumGoroutine()
+	cfg.Ctx = retrainCancelCtx{context.Background()}
+	_, err := Run(cfg)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run cancelled mid-retrain returned %v", err)
+	}
+	if n := goroutinesIn(trainFrame); n != 0 {
+		t.Fatalf("%d retrains still training after Run returned", n)
+	}
+	if n := awaitGoroutines(base); n > base {
+		t.Fatalf("%d goroutines after Run returned, %d before", n, base)
 	}
 }

@@ -110,8 +110,9 @@ type Config struct {
 	// extends the coverage instead of forgetting it. Ignored unless Adaptive.
 	Adapt adapt.Config
 	// RetrainLatency is the simulated time between a drift-triggered retrain
-	// starting and its model epoch being published (0 = 10 min). Ignored
-	// unless Adaptive.
+	// starting and its model epoch being published (0 = 10 min). A trigger
+	// less than RetrainLatency before the end of the run starts no retrain,
+	// since its epoch could never be published. Ignored unless Adaptive.
 	RetrainLatency time.Duration
 	// ClassSchemas chooses a feature schema per instance class: every
 	// instance of a class with a non-nil entry gets a model trained on
@@ -497,9 +498,9 @@ func Run(cfg Config) (*Report, error) {
 			return nil, fmt.Errorf("fleet: %w", err)
 		}
 		model += "; adaptive"
-		// A retrain triggered within the last RetrainLatency of the run (or
-		// before a cancellation) never reaches its publish tick; join the
-		// background goroutine instead of letting it outlive the run.
+		// A retrain in flight when the run is cancelled or fails never
+		// reaches its publish tick; join the background goroutine on every
+		// return path instead of letting it outlive the run.
 		defer sup.Discard()
 	}
 
@@ -563,7 +564,8 @@ func Run(cfg Config) (*Report, error) {
 	// sequence − 1; entries appended as epochs publish) and the deterministic
 	// publish schedule — a drift-triggered retrain starts at some tick and
 	// its epoch goes live exactly retrainTicks later, however long the
-	// background training really takes.
+	// background training really takes. A trigger whose publish tick lies
+	// past the run's last tick starts nothing: that epoch could never serve.
 	type epochAgg struct {
 		publishedAtSec float64
 		trainedRuns    int
@@ -770,7 +772,7 @@ func Run(cfg Config) (*Report, error) {
 		// background training work overlaps with the following ticks.
 		if sup != nil {
 			pollDrift(t)
-			if publishAt < 0 && sup.StartRetrain() {
+			if publishAt < 0 && tick+retrainTicks <= ticks && sup.StartRetrain() {
 				publishAt = tick + retrainTicks
 				if jnl != nil {
 					s := sup.Stats()

@@ -24,15 +24,18 @@
 //     linear models of its ancestors to avoid discontinuities between
 //     adjacent leaves.
 //
-// Fit runs steps 1–3 as one bottom-up pass, built for cheap on-line
-// retraining without changing a trained bit. Each attribute column is sorted
-// once at the root; splits stably partition the per-column orders down the
-// tree, which yields exactly the order a per-node stable sort would. Node
-// models are fitted on each node's row range in place (linreg.FitRows), and
-// pruning reads each node model's training error instead of re-evaluating
-// it. Sibling subtrees are built concurrently through internal/fanout, whose
-// fan-out never changes the result: the tree is a function of the dataset
-// and the options alone, whatever GOMAXPROCS is.
+// Fit runs steps 1–3 as three passes, built for cheap on-line retraining
+// without changing a trained bit. Grow sorts each attribute column once at
+// the root and stably partitions the per-column orders down the tree, which
+// yields exactly the order a per-node stable sort would; sibling subtrees
+// grow concurrently, and each internal node keeps its ascending rows before
+// partitioning them. Fit then puts every node's model fit, which needs only
+// those rows and the attributes tested in the node's subtree, into one queue
+// ordered largest first, and fits each on its rows in place
+// (linreg.FitRows). Prune walks the fitted tree bottom-up and reads each node
+// model's training error instead of re-evaluating it. Both concurrent passes
+// fork through internal/fanout, and neither changes the result: the tree is
+// a function of the dataset and the options alone, whatever GOMAXPROCS is.
 //
 // The package also exposes the structure of the learned tree (top splits,
 // per-node attributes), which the paper uses as a root-cause hint: the
@@ -44,8 +47,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"strings"
+	"sync/atomic"
 
 	"agingpred/internal/dataset"
 	"agingpred/internal/fanout"
@@ -159,11 +164,16 @@ func Fit(ds *dataset.Dataset, opts Options) (*Tree, error) {
 		opts:              opts,
 		TrainingInstances: ds.Len(),
 	}
-	b, err := newBuilder(t, ds).build(0, ds.Len(), 0)
-	if err != nil {
+	root := newBuilder(t, ds).grow(0, ds.Len(), 0)
+	// The fits read only the dataset and the grown nodes: the builder's
+	// column copies and sort orders are garbage from here on.
+	if err := fitAll(ds, opts, root); err != nil {
 		return nil, err
 	}
-	t.root = b.node
+	if !opts.Unpruned {
+		prune(root.node)
+	}
+	t.root = root.node
 	return t, nil
 }
 
@@ -179,7 +189,7 @@ func Fit(ds *dataset.Dataset, opts Options) (*Tree, error) {
 // range into the children's [lo, mid) and [mid, hi); a stable partition of a
 // (value, row) order is the (value, row) order of each part, exactly what a
 // stable sort of the child's instances would give, so no node sorts again.
-// Sibling subtrees own disjoint ranges and rows, so they are built
+// Sibling subtrees own disjoint ranges and rows, so they are grown
 // concurrently (internal/fanout).
 type builder struct {
 	t        *Tree
@@ -190,7 +200,7 @@ type builder struct {
 	rows     []int32
 	order    [][]int32
 	goLeft   []bool  // per row: the split at its node sends it left
-	buf      []int32 // partition and merge scratch, ranged like the arrays
+	buf      []int32 // sort and partition scratch, ranged like the arrays
 	globalSD float64
 }
 
@@ -231,87 +241,129 @@ func newBuilder(t *Tree, ds *dataset.Dataset) *builder {
 // column returns attribute column c, indexed by row.
 func (b *builder) column(c int) []float64 { return b.vals[c*b.n : (c+1)*b.n] }
 
-// built is a finished subtree: its root, the attributes tested anywhere in
-// it before pruning (ascending), and its estimated error after pruning.
-type built struct {
-	node  *node
-	attrs []int
-	err   float64
+// grown is one node of the grown, not yet fitted tree, with what its model
+// fit needs: the node's instances in ascending order (the order every node
+// model fit runs in, as if they were a dataset of their own) and the model's
+// candidate columns.
+type grown struct {
+	node        *node
+	rows        []int32
+	columns     []int // nil: every attribute
+	left, right *grown
+	err         error // the node model fit's error
 }
 
-// build grows, fits and prunes the subtree over the rows of [lo, hi),
-// bottom-up in one pass, and leaves rows[lo:hi] in ascending order.
+// grow splits the subtree over the rows of [lo, hi) down to its leaves,
+// without fitting any model, and returns it with each node's fit inputs.
 //
 // Following M5 (Quinlan) and M5' (Wang & Witten), a node's linear model may
-// only use the attributes that appear in split tests within its subtree:
-// leaves therefore get intercept-only (constant) models, and the richer
-// linear models live at interior nodes, becoming leaf models when pruning
-// collapses their subtree. This restriction is what keeps M5P's leaves from
-// extrapolating wildly on inputs outside the training distribution.
+// only use the attributes that appear in split tests within its unpruned
+// subtree: leaves therefore get intercept-only (constant) models, and the
+// richer linear models live at interior nodes, becoming leaf models when
+// pruning collapses their subtree. This restriction is what keeps M5P's
+// leaves from extrapolating wildly on inputs outside the training
+// distribution.
 //
 // The single exception is a tree that never split at all (tiny or constant
 // training data): its lone node falls back to a plain linear model over all
 // attributes, which is what a degenerate model tree is.
-func (b *builder) build(lo, hi, depth int) (built, error) {
+func (b *builder) grow(lo, hi, depth int) *grown {
 	rows := b.rows[lo:hi]
 	n := &node{n: len(rows), leaf: true, sd: stdDevTarget(b.y, rows)}
-	mid, split := b.split(n, lo, hi, depth)
+	mid, asc, split := b.split(n, lo, hi, depth)
 	if !split {
-		columns := []int{} // constant model
+		// No split below partitions a leaf's range again: it stays ascending.
+		g := &grown{node: n, rows: rows, columns: []int{}} // constant model
 		if depth == 0 {
-			columns = nil // degenerate tree: use every attribute
+			g.columns = nil // degenerate tree: use every attribute
 		}
-		model, err := b.fit(rows, columns)
-		if err != nil {
-			return built{}, fmt.Errorf("m5p: fitting leaf model: %w", err)
-		}
-		n.model = model
-		return built{node: n, err: nodeError(n)}, nil
+		return g
 	}
-
-	var left built
-	var leftErr error
-	join := fanout.Fork(func() { left, leftErr = b.build(lo, mid, depth+1) })
-	right, rightErr := b.build(mid, hi, depth+1)
+	var left *grown
+	join := fanout.Fork(func() { left = b.grow(lo, mid, depth+1) })
+	right := b.grow(mid, hi, depth+1)
 	join()
-	if leftErr != nil {
-		return built{}, leftErr
-	}
-	if rightErr != nil {
-		return built{}, rightErr
-	}
 	n.left, n.right = left.node, right.node
-	b.mergeRows(lo, mid, hi)
-	attrs := unionAttrs(n.attr, left.attrs, right.attrs)
-	model, err := b.fit(rows, attrs)
-	if err != nil {
-		return built{}, fmt.Errorf("m5p: fitting node model: %w", err)
+	return &grown{
+		node:    n,
+		rows:    asc,
+		columns: unionAttrs(n.attr, left.columns, right.columns),
+		left:    left,
+		right:   right,
 	}
-	n.model = model
-	if b.t.opts.Unpruned {
-		return built{node: n, attrs: attrs}, nil
+}
+
+// fitAll fits the model of every node of the grown tree. A node's fit
+// depends on nothing but its own rows and columns, so the fits form one
+// queue, largest node first (Graham's LPT rule: the longest fits never run
+// last and alone). The caller drains it together with helpers forked through
+// internal/fanout, whose process-wide bound still holds, and each fit writes
+// its own node only, so the models are the same whoever fits them. When fits
+// fail, the first failure in post-order (left subtree, right subtree, node)
+// is reported.
+func fitAll(ds *dataset.Dataset, opts Options, root *grown) error {
+	var post []*grown
+	var walk func(g *grown)
+	walk = func(g *grown) {
+		if g.left != nil {
+			walk(g.left)
+			walk(g.right)
+		}
+		post = append(post, g)
+	}
+	walk(root)
+	queue := slices.Clone(post)
+	slices.SortStableFunc(queue, func(x, y *grown) int { return len(y.rows) - len(x.rows) })
+
+	var next atomic.Int32
+	drain := func() {
+		for i := int(next.Add(1) - 1); i < len(queue); i = int(next.Add(1) - 1) {
+			g := queue[i]
+			g.node.model, g.err = linreg.FitRows(ds, g.rows, linreg.Options{
+				EliminateAttrs: true,
+				MaxAttrs:       opts.LeafMaxAttrs,
+				Columns:        g.columns,
+			})
+		}
+	}
+	var joins []func()
+	for range min(runtime.GOMAXPROCS(0), len(queue)) - 1 {
+		joins = append(joins, fanout.Fork(drain))
+	}
+	drain()
+	for _, join := range joins {
+		join()
 	}
 
-	// Prune: replace the subtree by this node's linear model when the
-	// model's estimated error is no worse than the subtree's.
+	for _, g := range post {
+		switch {
+		case g.err == nil:
+		case g.left == nil:
+			return fmt.Errorf("m5p: fitting leaf model: %w", g.err)
+		default:
+			return fmt.Errorf("m5p: fitting node model: %w", g.err)
+		}
+	}
+	return nil
+}
+
+// prune replaces, bottom-up, every subtree of n by its node's linear model
+// when the model's estimated error is no worse than the subtree's, and
+// returns n's estimated error after pruning.
+func prune(n *node) float64 {
 	nodeErr := nodeError(n)
-	subtreeErr := (left.err*float64(left.node.n) + right.err*float64(right.node.n)) / float64(n.n)
+	if n.leaf {
+		return nodeErr
+	}
+	leftErr, rightErr := prune(n.left), prune(n.right)
+	subtreeErr := (leftErr*float64(n.left.n) + rightErr*float64(n.right.n)) / float64(n.n)
 	if nodeErr <= subtreeErr {
 		n.leaf = true
 		n.left = nil
 		n.right = nil
-		return built{node: n, attrs: attrs, err: nodeErr}, nil
+		return nodeErr
 	}
-	return built{node: n, attrs: attrs, err: subtreeErr}, nil
-}
-
-// fit fits a node model over rows, restricted to columns.
-func (b *builder) fit(rows []int32, columns []int) (*linreg.Model, error) {
-	return linreg.FitRows(b.ds, rows, linreg.Options{
-		EliminateAttrs: true,
-		MaxAttrs:       b.t.opts.LeafMaxAttrs,
-		Columns:        columns,
-	})
+	return subtreeErr
 }
 
 // nodeError is the estimated error of n's own linear model. The model's
@@ -333,19 +385,21 @@ func estimatedError(mae float64, n, params int) float64 {
 }
 
 // split chooses n's split and partitions the row arrays of [lo, hi) around
-// it. It reports false, leaving n a leaf, when n is too small, too deep or
-// too uniform to split, or when no split leaves MinInstances on both sides.
-func (b *builder) split(n *node, lo, hi, depth int) (mid int, ok bool) {
+// it, returning a copy of n's rows as they were, ascending, for n's model
+// fit. It reports false, leaving n a leaf and the arrays untouched, when n is
+// too small, too deep or too uniform to split, or when no split leaves
+// MinInstances on both sides.
+func (b *builder) split(n *node, lo, hi, depth int) (mid int, asc []int32, ok bool) {
 	minInstances := b.t.opts.MinInstances
 	if n.n < 2*minInstances || depth >= b.t.opts.MaxDepth {
-		return 0, false
+		return 0, nil, false
 	}
 	if n.sd <= b.t.opts.MinStdDevFraction*b.globalSD {
-		return 0, false
+		return 0, nil, false
 	}
 	attr, threshold, ok := b.bestSplit(lo, hi, n.sd)
 	if !ok {
-		return 0, false
+		return 0, nil, false
 	}
 	col := b.column(attr)
 	nLeft := 0
@@ -356,17 +410,18 @@ func (b *builder) split(n *node, lo, hi, depth int) (mid int, ok bool) {
 		}
 	}
 	if nLeft < minInstances || n.n-nLeft < minInstances {
-		return 0, false
+		return 0, nil, false
 	}
 	n.leaf = false
 	n.attr = attr
 	n.threshold = threshold
 	mid = lo + nLeft
+	asc = slices.Clone(b.rows[lo:hi])
 	b.partition(b.rows, lo, mid, hi)
 	for _, ord := range b.order {
 		b.partition(ord, lo, mid, hi)
 	}
-	return mid, true
+	return mid, asc, true
 }
 
 // bestSplit finds the (attribute, threshold) maximising SDR over the rows of
@@ -436,25 +491,6 @@ func (b *builder) partition(a []int32, lo, mid, hi int) {
 		}
 	}
 	copy(a[mid:hi], b.buf[mid:hi])
-}
-
-// mergeRows merges the ascending runs rows[lo:mid] and rows[mid:hi] back
-// into one ascending run.
-func (b *builder) mergeRows(lo, mid, hi int) {
-	i, j, k := lo, mid, lo
-	for i < mid && j < hi {
-		if b.rows[i] < b.rows[j] {
-			b.buf[k] = b.rows[i]
-			i++
-		} else {
-			b.buf[k] = b.rows[j]
-			j++
-		}
-		k++
-	}
-	k += copy(b.buf[k:], b.rows[i:mid])
-	copy(b.buf[k:], b.rows[j:hi])
-	copy(b.rows[lo:hi], b.buf[lo:hi])
 }
 
 // unionAttrs returns the ascending union of attr, a and b.

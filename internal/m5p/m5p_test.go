@@ -2,11 +2,15 @@ package m5p
 
 import (
 	"math"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"agingpred/internal/dataset"
+	"agingpred/internal/fanout"
 	"agingpred/internal/linreg"
 	"agingpred/internal/rng"
 )
@@ -456,5 +460,95 @@ func TestM5PFinitePredictionsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// regimeDataset builds a dataset with many piecewise-linear regimes over p
+// attributes, so the tree grows dozens of internal nodes and its fit queue
+// holds many fits of different sizes.
+func regimeDataset(n, p int, seed uint64) *dataset.Dataset {
+	attrs := make([]string, p)
+	for j := range attrs {
+		attrs[j] = "x" + strconv.Itoa(j)
+	}
+	ds := dataset.MustNew("regimes", attrs, "y")
+	src := rng.New(seed)
+	row := make([]float64, p)
+	for i := 0; i < n; i++ {
+		for j := range row {
+			row[j] = src.Float64Between(0, 100)
+		}
+		regime := int(row[0]/20) + 5*int(row[1]/25)
+		y := float64(regime*7) + float64(regime%3+1)*row[2] - float64(regime%4)*row[3] + src.Normal(0, 1)
+		if err := ds.Append(row, y); err != nil {
+			panic(err)
+		}
+	}
+	return ds
+}
+
+// peakBuilders fits ds while sampling every goroutine's stack, and returns
+// the most goroutines ever seen inside the induction (growing a subtree or
+// draining the fit queue) at once.
+func peakBuilders(t *testing.T, ds *dataset.Dataset) int {
+	t.Helper()
+	done := make(chan struct{})
+	peak := make(chan int)
+	go func() {
+		buf := make([]byte, 1<<20)
+		most := 0
+		for {
+			select {
+			case <-done:
+				peak <- most
+				return
+			default:
+			}
+			inside := 0
+			for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+				if strings.Contains(g, "m5p.(*builder).") || strings.Contains(g, "m5p.fitAll") {
+					inside++
+				}
+			}
+			most = max(most, inside)
+			time.Sleep(20 * time.Microsecond)
+		}
+	}()
+	_, err := Fit(ds, Options{})
+	close(done)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return <-peak
+}
+
+// TestFitHonoursForkBound holds induction to internal/fanout's process-wide
+// bound of GOMAXPROCS-1 forked goroutines. With GOMAXPROCS 1, or with every
+// fanout slot already taken (as when experiment cells train side by side),
+// Fit must run on its caller alone; with a slot free, the grow and fit
+// passes do use it.
+func TestFitHonoursForkBound(t *testing.T) {
+	ds := regimeDataset(3000, 8, 17)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if got := peakBuilders(t, ds); got != 1 {
+		t.Fatalf("GOMAXPROCS 1: %d goroutines inside the induction at once, want 1", got)
+	}
+
+	runtime.GOMAXPROCS(2)
+	release := make(chan struct{})
+	hold := fanout.Fork(func() { <-release }) // takes the one slot
+	got := peakBuilders(t, ds)
+	close(release)
+	hold()
+	if got != 1 {
+		t.Fatalf("GOMAXPROCS 2, slot taken: %d goroutines inside the induction at once, want 1", got)
+	}
+
+	got = 0
+	for try := 0; try < 5 && got < 2; try++ {
+		got = peakBuilders(t, ds)
+	}
+	if got != 2 {
+		t.Fatalf("GOMAXPROCS 2, slot free: at most %d goroutines inside the induction at once, want 2", got)
 	}
 }

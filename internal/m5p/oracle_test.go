@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"agingpred/internal/dataset"
@@ -17,8 +18,9 @@ import (
 // its instances per column, copies them into a dataset of their own for its
 // model fit, and pruning re-evaluates every node model row by row — as a
 // reference oracle. Fit must reproduce it bit for bit: sorting once,
-// partitioning row ranges, fusing the passes and building sibling subtrees
-// concurrently are optimisations, never a change of result.
+// partitioning row ranges, growing sibling subtrees concurrently and fitting
+// node models from a shared largest-first queue are optimisations, never a
+// change of result.
 
 // oracleFit is Fit as the reference computes it: grow, fit node models,
 // prune, as three passes.
@@ -365,9 +367,10 @@ func TestFitMatchesOracle(t *testing.T) {
 	})
 }
 
-// TestSplitsMatchOracle walks the induction by hand: at every node the
-// partitioned sort orders must equal a fresh stable sort of the node's
-// instances, and the chosen (attribute, threshold) must equal the
+// TestSplitsMatchOracle walks the induction by hand: at every node the row
+// list must be ascending and a split must keep it as it was for the node's
+// model fit, the partitioned sort orders must equal a fresh stable sort of
+// the node's instances, and the chosen (attribute, threshold) must equal the
 // reference's per-node sort plus bestSplit.
 func TestSplitsMatchOracle(t *testing.T) {
 	splits := 0
@@ -385,6 +388,9 @@ func TestSplitsMatchOracle(t *testing.T) {
 				for i, r := range b.rows[lo:hi] {
 					idx[i] = int(r)
 				}
+				if !slices.IsSorted(idx) {
+					t.Fatalf("shape %d seed %d [%d,%d): rows %v not ascending", shape, seed, lo, hi, idx)
+				}
 				for c, ord := range b.order {
 					want := append([]int(nil), idx...)
 					sortByColumn(ds, want, c)
@@ -401,14 +407,18 @@ func TestSplitsMatchOracle(t *testing.T) {
 					t.Fatalf("shape %d seed %d [%d,%d): split (%d, %v, %v), oracle (%d, %v, %v)",
 						shape, seed, lo, hi, gotAttr, gotThr, gotOK, wantAttr, wantThr, wantOK)
 				}
-				mid, ok := b.split(n, lo, hi, depth)
+				mid, asc, ok := b.split(n, lo, hi, depth)
 				if !ok {
 					return
+				}
+				for i, r := range asc {
+					if int(r) != idx[i] {
+						t.Fatalf("shape %d seed %d [%d,%d): kept rows %v, want %v", shape, seed, lo, hi, asc, idx)
+					}
 				}
 				splits++
 				walk(lo, mid, depth+1)
 				walk(mid, hi, depth+1)
-				b.mergeRows(lo, mid, hi)
 			}
 			walk(0, ds.Len(), 0)
 		}

@@ -17,6 +17,8 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -543,5 +545,76 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool) {
 			t.Fatal("condition not reached in time")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// goroutinesIn counts the goroutines whose stack mentions fn.
+func goroutinesIn(fn string) int {
+	buf := make([]byte, 1<<20)
+	n := 0
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if strings.Contains(g, fn) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestAdaptiveDrainJoinsRetrain drains an adaptive server while a retrain
+// is in flight: Drain must not return before the training goroutine has
+// finished, and the server leaves no goroutine behind.
+func TestAdaptiveDrainJoinsRetrain(t *testing.T) {
+	seed, err := fleet.TrainingSeries(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sup, err := adapt.NewSupervisor(adapt.Config{
+		Detector: adapt.DetectorConfig{BaselineSec: 1, Hysteresis: 1, MinBaselineSec: 1},
+		Seed:     seed, // a retrain on the fleet's training runs takes a while
+	}, goldenModel(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One resolved crash trips the 1 s baseline and buffers a fresh run.
+	var spec fleet.InstanceSpec
+	for _, s := range fleet.Specs(3, 64) {
+		if s.Profile.Aging() {
+			spec = s
+			break
+		}
+	}
+	replay := fleet.NewReplay(3, spec)
+	st := sup.NewStream("crashing")
+	var cp monitor.Checkpoint
+	for tick := 0; !replay.Step(&cp); tick++ {
+		if tick == 24*240 {
+			t.Fatalf("instance %+v did not crash in a simulated day", spec)
+		}
+		if _, err := st.Observe(cp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st.ResolveCrash(replay.TimeSec())
+
+	base := runtime.NumGoroutine()
+	srv := startServer(t, Config{Supervisor: sup, AdaptEvery: time.Hour})
+	if !sup.StartRetrain() {
+		t.Fatalf("no retrain due after a crash against a 1 s baseline: %+v", sup.Stats())
+	}
+	if err := srv.Drain(context.Background()); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	if n := goroutinesIn("agingpred/internal/core.Train("); n != 0 {
+		t.Fatalf("%d retrains still training after Drain returned", n)
+	}
+	if sup.Stats().RetrainPending {
+		t.Fatalf("retrain still pending after Drain returned")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after Drain returned, %d before Start", n, base)
 	}
 }
