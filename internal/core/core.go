@@ -37,6 +37,7 @@ import (
 	"time"
 
 	"agingpred/internal/features"
+	"agingpred/internal/flattree"
 	"agingpred/internal/linreg"
 	"agingpred/internal/m5p"
 	"agingpred/internal/monitor"
@@ -131,9 +132,13 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// regressor is the behaviour shared by the three model families.
+// regressor is the behaviour shared by the three model families: the
+// name-resolving Predict, and Bind, which compiles the model against a row
+// schema into the one flattened evaluator all three share — the Observe hot
+// path.
 type regressor interface {
 	Predict(attrs []string, row []float64) (float64, error)
+	Bind(attrs []string) (*flattree.Tree, error)
 }
 
 // Statically verify the three backing models satisfy the interface.
@@ -141,27 +146,6 @@ var (
 	_ regressor = (*m5p.Tree)(nil)
 	_ regressor = (*linreg.Model)(nil)
 	_ regressor = (*regtree.Tree)(nil)
-)
-
-// boundRegressor is a model pre-bound to the model's schema: index-based
-// evaluation with no name resolution and no per-call allocations. All three
-// model families provide one via Bind; it is the Observe hot path.
-// PredictBatch evaluates many rows with the scalar arithmetic (bit-identical
-// results) while keeping the model's flattened arrays hot in cache, and
-// Columns reports exactly which row columns the model can read — sessions
-// project feature extraction onto that set, skipping derived columns the
-// model can never look at.
-type boundRegressor interface {
-	Predict(row []float64) float64
-	PredictBatch(rows [][]float64, out []float64)
-	Columns() []int
-}
-
-// Statically verify the three bound forms satisfy the interface.
-var (
-	_ boundRegressor = (*m5p.BoundTree)(nil)
-	_ boundRegressor = (*linreg.BoundModel)(nil)
-	_ boundRegressor = (*regtree.BoundTree)(nil)
 )
 
 // TrainReport summarises a training round, mirroring the numbers the paper

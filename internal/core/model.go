@@ -9,6 +9,7 @@ import (
 	"agingpred/internal/dataset"
 	"agingpred/internal/evalx"
 	"agingpred/internal/features"
+	"agingpred/internal/flattree"
 	"agingpred/internal/linreg"
 	"agingpred/internal/m5p"
 	"agingpred/internal/monitor"
@@ -35,7 +36,7 @@ type Model struct {
 	// based, allocation-free). It is nil when the trained regressor references
 	// attributes outside the schema — a dataset trained under a wider schema —
 	// in which case sessions fall back to the name-resolving path.
-	bound boundRegressor
+	bound *flattree.Tree
 	// boundCols caches bound.Columns(): the schema columns the bound
 	// regressor can read. Sessions project their feature extraction onto
 	// this set.
@@ -140,22 +141,9 @@ func (m *Model) bind() {
 	m.bound = nil
 	m.boundCols = nil
 	m.infiniteSec = m.cfg.InfiniteTTF.Seconds()
-	switch r := m.reg.(type) {
-	case *m5p.Tree:
-		if bt, err := r.Bind(m.attrs); err == nil {
-			m.bound = bt
-		}
-	case *linreg.Model:
-		if bm, err := r.Bind(m.attrs); err == nil {
-			m.bound = bm
-		}
-	case *regtree.Tree:
-		if bt, err := r.Bind(m.attrs); err == nil {
-			m.bound = bt
-		}
-	}
-	if m.bound != nil {
-		m.boundCols = m.bound.Columns()
+	if bt, err := m.reg.Bind(m.attrs); err == nil {
+		m.bound = bt
+		m.boundCols = bt.Columns()
 	}
 }
 

@@ -119,6 +119,49 @@ func TestBoundModelMatchesNameResolvingPath(t *testing.T) {
 	}
 }
 
+// TestBatchGrowthMatchesScalar pins batch ≡ scalar across RowBatch growth: a
+// batch sized for one row stages more sessions every tick — session i joins
+// at tick i — so the row buffer grows, and re-points the rows staged before
+// it, several times mid-tick. Every prediction must equal the same session's
+// scalar Observe bit for bit, for every model family.
+func TestBatchGrowthMatchesScalar(t *testing.T) {
+	for _, kind := range []ModelKind{ModelM5P, ModelLinearRegression, ModelRegressionTree} {
+		t.Run(string(kind), func(t *testing.T) {
+			m := trainedOn(t, Config{Model: kind})
+			const sessions = 40
+			cps := leakSeries("growth", sessions+60, 1.8, 0.25).Checkpoints
+			batched, scalar := make([]*Session, sessions), make([]*Session, sessions)
+			for i := range batched {
+				batched[i], scalar[i] = m.NewSession(), m.NewSession()
+			}
+			b := m.NewBatch(1)
+			for tick := range cps {
+				b.Reset()
+				live := min(tick+1, sessions)
+				for i := 0; i < live; i++ {
+					if err := b.Stage(batched[i], &cps[tick-i]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				preds, err := b.Predict()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < live; i++ {
+					want, err := scalar[i].Observe(cps[tick-i])
+					if err != nil {
+						t.Fatal(err)
+					}
+					if math.Float64bits(preds[i].TTFSec) != math.Float64bits(want.TTFSec) {
+						t.Fatalf("tick %d session %d: batch predicts %v s, scalar %v s",
+							tick, i, preds[i].TTFSec, want.TTFSec)
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestConfigSchemaSelectsRegistrySchemas checks Config.Schema plumbs a
 // registered schema (here full+conn) end to end: attribute list, training
 // and on-line observation.
@@ -263,9 +306,10 @@ func TestUnboundModelSessionErrors(t *testing.T) {
 // reporting ns/op and allocs/op. Before the schema refactor this path built
 // a 49-entry map[string]float64, filtered it through freshly-allocated name
 // slices and re-resolved every model attribute by name on each call (~20
-// allocations per checkpoint); now it is allocation-free.
+// allocations per checkpoint); now it is allocation-free for every model
+// family, all three evaluated by the one flattened tree.
 func BenchmarkObserve(b *testing.B) {
-	for _, kind := range []ModelKind{ModelM5P, ModelLinearRegression} {
+	for _, kind := range []ModelKind{ModelM5P, ModelLinearRegression, ModelRegressionTree} {
 		b.Run(string(kind), func(b *testing.B) {
 			sess := trainedOn(b, Config{Model: kind}).NewSession()
 			test := leakSeries("bench", 256, 1.8, 0.25)

@@ -5,7 +5,8 @@
 //
 //	pointer walk   the training-tree Predict (name-resolved, recursive);
 //	               the reference semantics
-//	flattened      BoundTree/BoundModel.Predict over the array-backed layout
+//	flattened      flattree.Tree.Predict over the one array-backed layout
+//	               every family binds to
 //	batch          PredictBatch over [][]float64 rows, at several batch sizes
 //
 // plus an end-to-end check that a projected serving session fed through

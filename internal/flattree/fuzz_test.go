@@ -1,26 +1,28 @@
-package m5p
+package flattree
 
 import (
 	"bytes"
 	"encoding/binary"
 	"math"
 	"testing"
-
-	"agingpred/internal/dataset"
 )
 
-// FuzzFlattenTree fuzzes the flattened-tree layer below the encode/decode
-// format (FuzzDecodeModel covers the artifact bytes): arbitrary parallel-array
-// layouts — corrupt child/parent indices, NaN thresholds, out-of-range model
-// columns, truncated term arrays — are handed to validate, which must reject
-// every inconsistent layout with an error, never a panic or a hang. Layouts
-// that validate accepts are then evaluated: Predict must terminate (the
-// strictly-increasing child indices it just verified bound the descent) and
-// PredictBatch must agree with it bit for bit.
+// FuzzFlattenTree fuzzes the flattened-tree layer below the model encode/
+// decode formats (core's FuzzDecodeModel covers the artifact bytes):
+// arbitrary parallel-array layouts — corrupt child/parent indices, NaN
+// thresholds, out-of-range model columns, truncated term arrays — are handed
+// to validate, which must reject every inconsistent layout with an error,
+// never a panic or a hang. Layouts that validate accepts are then evaluated:
+// Predict must terminate (the strictly-increasing child indices it just
+// verified bound the descent) and PredictBatch must agree with it bit for
+// bit.
 //
-// The seed corpus is real flattened trees — smoothed, unsmoothed, single-leaf
-// — serialized by flatBytes, so the fuzzer starts from valid layouts and
-// mutates them into near-valid ones, the corruptions validate exists for.
+// The seed corpus is one layout of each shape the three model families bind
+// to — smoothed and unsmoothed M5P trees, a single smoothed leaf, a
+// regression tree (intercept-only leaves, no smoothing) and a linear model
+// (one node with terms) — serialized by flatBytes, so the fuzzer starts from
+// valid layouts and mutates them into near-valid ones, the corruptions
+// validate exists for.
 func FuzzFlattenTree(f *testing.F) {
 	for _, tree := range corpusTrees(f) {
 		f.Add(flatBytes(tree))
@@ -45,49 +47,67 @@ func FuzzFlattenTree(f *testing.F) {
 	})
 }
 
-// corpusTrees fits a few small real trees covering the layout variants.
-func corpusTrees(f *testing.F) []*BoundTree {
-	attrs := []string{"a", "b", "c"}
-	ds, err := dataset.New("fuzz-corpus", attrs, "y")
-	if err != nil {
-		f.Fatal(err)
-	}
-	for i := 0; i < 120; i++ {
-		a := float64(i%40) - 20
-		b := float64((i*7)%30) - 15
-		c := float64((i * 13) % 11)
-		y := 2*a - b
-		if a > 0 {
-			y += 5 * c
-		}
-		if err := ds.Append([]float64{a, b, c}, y); err != nil {
-			f.Fatal(err)
-		}
-	}
-	var trees []*BoundTree
-	for _, opts := range []Options{
-		{MinInstances: 5},
-		{MinInstances: 5, NoSmoothing: true},
-		{MinInstances: 200}, // single leaf
-	} {
-		tree, err := Fit(ds, opts)
+// corpusTrees builds one small literal layout per shape the model families
+// bind to, over rows of width 3.
+func corpusTrees(f *testing.F) []*Tree {
+	build := func(b *Builder, noSmoothing bool, k float64) *Tree {
+		t, err := b.Build(3, noSmoothing, k)
 		if err != nil {
 			f.Fatal(err)
 		}
-		bound, err := tree.Bind(attrs)
-		if err != nil {
-			f.Fatal(err)
-		}
-		trees = append(trees, bound)
+		return t
 	}
-	return trees
+	// modelTree is an M5P shape: a root split, a leaf, and an inner node
+	// with two leaves; every node carries a linear model for smoothing.
+	modelTree := func(noSmoothing bool) *Tree {
+		var b Builder
+		root := b.Node(-1, 120, 4)
+		b.Term(2, 0)
+		b.Term(-1, 1)
+		l := b.Node(root, 50, -3)
+		b.Term(2, 0)
+		inner := b.Node(root, 70, 1.5)
+		b.Term(5, 2)
+		ll := b.Node(inner, 30, 0.25)
+		b.Term(1, 1)
+		b.Term(5, 2)
+		rl := b.Node(inner, 40, 7)
+		b.Split(inner, 2, 5.5, ll, rl)
+		b.Split(root, 0, 0.5, l, inner)
+		return build(&b, noSmoothing, 15)
+	}
+	var leaf Builder
+	leaf.Node(-1, 120, 3)
+	leaf.Term(0.5, 1)
+
+	var reg Builder
+	root := reg.Node(-1, 120, 0)
+	l := reg.Node(root, 50, -12.5)
+	inner := reg.Node(root, 70, 0)
+	ll := reg.Node(inner, 30, 8)
+	rl := reg.Node(inner, 40, 21)
+	reg.Split(inner, 1, -2, ll, rl)
+	reg.Split(root, 0, 0.5, l, inner)
+
+	var lin Builder
+	lin.Node(-1, 0, 120.5)
+	lin.Term(-3.2, 2)
+	lin.Term(0.8, 0)
+
+	return []*Tree{
+		modelTree(false),
+		modelTree(true),
+		build(&leaf, false, 15),
+		build(&reg, true, 0),
+		build(&lin, true, 0),
+	}
 }
 
 // The corpus wire format: a small header, then the parallel arrays in field
 // order. decodeFlat reads it back leniently — arrays cut short by truncated
 // input stay short — so byte-level truncations become exactly the
 // inconsistent-length layouts validate must reject.
-func flatBytes(t *BoundTree) []byte {
+func flatBytes(t *Tree) []byte {
 	var b bytes.Buffer
 	le := binary.LittleEndian
 	w := func(v any) { _ = binary.Write(&b, le, v) }
@@ -119,10 +139,10 @@ const (
 	fuzzMaxTerms = 1 << 12
 )
 
-// decodeFlat builds a candidate BoundTree from fuzz bytes, without judging
+// decodeFlat builds a candidate Tree from fuzz bytes, without judging
 // its consistency — that is validate's job. It returns nil only when the
 // header is unreadable or the sizes would allocate unreasonably.
-func decodeFlat(data []byte) *BoundTree {
+func decodeFlat(data []byte) *Tree {
 	r := bytes.NewReader(data)
 	le := binary.LittleEndian
 	var nodes, width uint16
@@ -140,7 +160,7 @@ func decodeFlat(data []byte) *BoundTree {
 		return nil
 	}
 	n := int(nodes)
-	bt := &BoundTree{
+	bt := &Tree{
 		noSmoothing: flags&1 != 0,
 		k:           k,
 		width:       int(width),

@@ -49,6 +49,7 @@ import (
 	"strings"
 
 	"agingpred/internal/dataset"
+	"agingpred/internal/flattree"
 )
 
 // Model is a fitted linear regression model: target = Intercept + Σ coef·attr.
@@ -978,80 +979,25 @@ func (m *Model) resolveAttrs(attrs []string) ([]int, error) {
 // NumAttrs returns the number of attributes retained by the model.
 func (m *Model) NumAttrs() int { return len(m.Attrs) }
 
-// BoundModel is a Model bound once to a fixed row schema: Predict resolves
-// no attribute names and performs no per-call allocations, which is what the
-// per-checkpoint Observe hot path needs. A BoundModel is immutable and safe
-// for concurrent use.
-type BoundModel struct {
-	intercept float64
-	coeffs    []float64
-	cols      []int // row column of each coefficient's attribute
-}
-
-// Bind resolves the model's attributes against the given row schema once.
-// The schema may be wider or reordered as long as every model attribute is
-// present. The returned BoundModel is independent of the receiver's own
-// lazy schema cache, so it can be shared across goroutines.
-func (m *Model) Bind(attrs []string) (*BoundModel, error) {
+// Bind resolves the model's attributes against the given row schema once
+// and compiles it into a one-leaf internal/flattree layout, whose Predict
+// resolves no attribute names and allocates nothing per call. The terms
+// keep their order, so the bound Predict matches Model.Predict term for
+// term and the two are bit-identical. The schema may be wider or reordered
+// as long as every model attribute is present. The returned tree is
+// independent of the receiver's own lazy schema cache, so it can be shared
+// across goroutines.
+func (m *Model) Bind(attrs []string) (*flattree.Tree, error) {
 	cols, err := m.resolveAttrs(attrs)
 	if err != nil {
 		return nil, err
 	}
-	return &BoundModel{
-		intercept: m.Intercept,
-		coeffs:    append([]float64(nil), m.Coefficients...),
-		cols:      cols,
-	}, nil
-}
-
-// Predict evaluates the bound model on a row laid out in the schema the
-// model was bound to. The arithmetic matches Model.Predict term for term, so
-// the two paths produce bit-identical results.
-func (b *BoundModel) Predict(row []float64) float64 {
-	pred := b.intercept
-	for j, idx := range b.cols {
-		pred += b.coeffs[j] * row[idx]
+	var b flattree.Builder
+	b.Node(-1, 0, m.Intercept)
+	for j, c := range cols {
+		b.Term(m.Coefficients[j], c)
 	}
-	return pred
-}
-
-// PredictBatch evaluates the bound model on every row, writing one prediction
-// per row into out (len(out) must be >= len(rows)). Each row is evaluated by
-// exactly the scalar Predict arithmetic, so batch and scalar results are
-// bit-identical; batching exists to amortise call overhead and keep the
-// model's coefficient arrays hot in cache across a whole shard tick.
-func (b *BoundModel) PredictBatch(rows [][]float64, out []float64) {
-	for i, row := range rows {
-		pred := b.intercept
-		for j, idx := range b.cols {
-			pred += b.coeffs[j] * row[idx]
-		}
-		out[i] = pred
-	}
-}
-
-// Columns returns the row columns the bound model reads, sorted ascending and
-// de-duplicated. Consumers use it to skip computing feature columns a model
-// can never look at.
-func (b *BoundModel) Columns() []int {
-	out := append([]int(nil), b.cols...)
-	sort.Ints(out)
-	n := 0
-	for i, c := range out {
-		if i == 0 || c != out[n-1] {
-			out[n] = c
-			n++
-		}
-	}
-	return out[:n]
-}
-
-// Terms exposes the bound model's compiled form — the intercept and the
-// parallel (coefficient, row column) arrays Predict iterates, in evaluation
-// order. Flattened tree layouts inline leaf models through it. The returned
-// slices are the model's own storage and must not be modified.
-func (b *BoundModel) Terms() (intercept float64, coeffs []float64, cols []int) {
-	return b.intercept, b.coeffs, b.cols
+	return b.Build(len(attrs), true, 0)
 }
 
 // String renders the regression equation in a human-readable form, e.g.

@@ -54,6 +54,7 @@ import (
 
 	"agingpred/internal/dataset"
 	"agingpred/internal/fanout"
+	"agingpred/internal/flattree"
 	"agingpred/internal/linreg"
 )
 
@@ -368,8 +369,8 @@ func prune(n *node) float64 {
 
 // nodeError is the estimated error of n's own linear model. The model's
 // TrainingMAE was accumulated over exactly n's instances, in the order and
-// with the arithmetic of BoundModel.Predict, so it is the node model's MAE
-// over the instances reaching n.
+// with the arithmetic of the bound model's Predict (flattree.Tree), so it is
+// the node model's MAE over the instances reaching n.
 func nodeError(n *node) float64 {
 	return estimatedError(n.model.TrainingMAE, n.n, n.model.NumAttrs())
 }
@@ -615,67 +616,50 @@ func (t *Tree) predictNode(n *node, attrs []string, row []float64, colOf []int) 
 }
 
 // Bind resolves the tree against the given row schema once and compiles it
-// into the flattened array layout of BoundTree (see flat.go). The schema may
-// be wider or reordered as long as every training attribute is present.
-func (t *Tree) Bind(attrs []string) (*BoundTree, error) {
+// into the flattened layout of internal/flattree, node models inlined in
+// their own term order. The schema may be wider or reordered as long as
+// every training attribute is present.
+func (t *Tree) Bind(attrs []string) (*flattree.Tree, error) {
 	colOf, err := t.bindSchema(attrs)
 	if err != nil {
 		return nil, err
 	}
-	b := &BoundTree{
-		noSmoothing: t.opts.NoSmoothing,
-		k:           t.opts.SmoothingK,
-		width:       len(attrs),
+	// A node model resolves its attribute names to the first column of that
+	// name, as the model's own Predict does.
+	colByName := make(map[string]int, len(attrs))
+	for i := len(attrs) - 1; i >= 0; i-- {
+		colByName[attrs[i]] = i
 	}
-	if _, err := b.flatten(t.root, attrs, colOf, -1); err != nil {
+	var b flattree.Builder
+	if _, err := flatten(&b, t.root, colOf, colByName, -1); err != nil {
 		return nil, err
 	}
-	b.modelOff = append(b.modelOff, int32(len(b.coeffs)))
-	// Bind only ever emits well-formed layouts; validating here guarantees
-	// that invariant holds for every tree the hot path will walk, at a cost
-	// paid once per binding, never per prediction.
-	if err := b.validate(); err != nil {
-		return nil, fmt.Errorf("m5p: flattened tree failed validation: %w", err)
-	}
-	return b, nil
+	return b.Build(len(attrs), t.opts.NoSmoothing, t.opts.SmoothingK)
 }
 
-// flatten appends n's subtree to the bound tree in preorder (children always
-// at higher indices than their parent) and returns n's node index.
-func (b *BoundTree) flatten(n *node, attrs []string, colOf []int, parent int32) (int32, error) {
-	bm, err := n.model.Bind(attrs)
-	if err != nil {
-		return 0, err
-	}
-	i := int32(len(b.col))
-	b.col = append(b.col, leafCol)
-	b.threshold = append(b.threshold, 0)
-	b.left = append(b.left, noChild)
-	b.right = append(b.right, noChild)
-	b.parent = append(b.parent, parent)
-	b.n = append(b.n, float64(n.n))
-	intercept, coeffs, cols := bm.Terms()
-	b.intercept = append(b.intercept, intercept)
-	b.modelOff = append(b.modelOff, int32(len(b.coeffs)))
-	for j := range coeffs {
-		b.coeffs = append(b.coeffs, coeffs[j])
-		b.cols = append(b.cols, int32(cols[j]))
+// flatten appends n's subtree to b in preorder (children always at higher
+// indices than their parent) and returns n's node index.
+func flatten(b *flattree.Builder, n *node, colOf []int, colByName map[string]int, parent int32) (int32, error) {
+	i := b.Node(parent, float64(n.n), n.model.Intercept)
+	for j, name := range n.model.Attrs {
+		c, ok := colByName[name]
+		if !ok {
+			return 0, fmt.Errorf("m5p: instance schema is missing attribute %q", name)
+		}
+		b.Term(n.model.Coefficients[j], c)
 	}
 	if n.leaf {
 		return i, nil
 	}
-	b.col[i] = int32(colOf[n.attr])
-	b.threshold[i] = n.threshold
-	l, err := b.flatten(n.left, attrs, colOf, i)
+	l, err := flatten(b, n.left, colOf, colByName, i)
 	if err != nil {
 		return 0, err
 	}
-	r, err := b.flatten(n.right, attrs, colOf, i)
+	r, err := flatten(b, n.right, colOf, colByName, i)
 	if err != nil {
 		return 0, err
 	}
-	b.left[i] = l
-	b.right[i] = r
+	b.Split(i, colOf[n.attr], n.threshold, l, r)
 	return i, nil
 }
 

@@ -13,10 +13,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"agingpred/internal/dataset"
+	"agingpred/internal/flattree"
 )
 
 // Options configures tree induction.
@@ -263,90 +263,32 @@ func (t *Tree) Predict(attrs []string, row []float64) (float64, error) {
 	return n.value, nil
 }
 
-// BoundTree is a Tree bound once to a fixed row schema and flattened into
-// parallel node arrays (split column with -1 marking a leaf, threshold,
-// child indices, constant leaf value): Predict resolves no attribute names,
-// chases no pointers and allocates nothing per call. Nodes are stored in
-// preorder, so child indices are strictly greater than their parent's — the
-// descent moves forward through memory and provably terminates. Immutable
-// and safe for concurrent use.
-type BoundTree struct {
-	col       []int32 // split column; -1 marks a leaf
-	threshold []float64
-	left      []int32
-	right     []int32
-	value     []float64 // constant prediction of leaves (0 for inner nodes)
-}
-
 // Bind resolves the tree's split attributes against the given row schema
-// once and compiles the node structure into the flattened layout. The schema
-// may be wider or reordered as long as every training attribute is present.
-func (t *Tree) Bind(attrs []string) (*BoundTree, error) {
+// once and compiles the node structure into the flattened layout of
+// internal/flattree: leaves become intercept-only models, and smoothing is
+// off, so the bound Predict performs exactly the comparisons Tree.Predict
+// performs and returns the same leaf value. The schema may be wider or
+// reordered as long as every training attribute is present.
+func (t *Tree) Bind(attrs []string) (*flattree.Tree, error) {
 	colOf, err := t.resolveAttrs(attrs)
 	if err != nil {
 		return nil, err
 	}
-	b := &BoundTree{}
-	b.flatten(t.root, colOf)
-	if err := b.validate(len(attrs)); err != nil {
-		return nil, fmt.Errorf("regtree: flattened tree failed validation: %w", err)
-	}
-	return b, nil
+	var b flattree.Builder
+	flatten(&b, t.root, colOf, -1)
+	return b.Build(len(attrs), true, 0)
 }
 
-// flatten appends n's subtree in preorder and returns n's node index.
-func (b *BoundTree) flatten(n *node, colOf []int) int32 {
-	i := int32(len(b.col))
-	b.col = append(b.col, -1)
-	b.threshold = append(b.threshold, 0)
-	b.left = append(b.left, -1)
-	b.right = append(b.right, -1)
-	b.value = append(b.value, 0)
+// flatten appends n's subtree to b in preorder and returns n's node index.
+func flatten(b *flattree.Builder, n *node, colOf []int, parent int32) int32 {
 	if n.leaf {
-		b.value[i] = n.value
-		return i
+		return b.Node(parent, float64(n.n), n.value)
 	}
-	b.col[i] = int32(colOf[n.attr])
-	b.threshold[i] = n.threshold
-	b.left[i] = b.flatten(n.left, colOf)
-	b.right[i] = b.flatten(n.right, colOf)
+	i := b.Node(parent, float64(n.n), 0)
+	l := flatten(b, n.left, colOf, i)
+	r := flatten(b, n.right, colOf, i)
+	b.Split(i, colOf[n.attr], n.threshold, l, r)
 	return i
-}
-
-// validate checks the structural invariants Predict relies on — children in
-// range and strictly after their parent (bounding the descent), split
-// columns inside the bound row width, finite thresholds — so a malformed
-// layout is rejected at construction time, never walked.
-func (b *BoundTree) validate(width int) error {
-	nodes := len(b.col)
-	if nodes == 0 {
-		return fmt.Errorf("no nodes")
-	}
-	if len(b.threshold) != nodes || len(b.left) != nodes || len(b.right) != nodes || len(b.value) != nodes {
-		return fmt.Errorf("arrays disagree on node count %d", nodes)
-	}
-	for i := 0; i < nodes; i++ {
-		if b.col[i] < 0 {
-			if b.left[i] != -1 || b.right[i] != -1 {
-				return fmt.Errorf("leaf %d has children", i)
-			}
-			if math.IsNaN(b.value[i]) || math.IsInf(b.value[i], 0) {
-				return fmt.Errorf("leaf %d value is not finite: %v", i, b.value[i])
-			}
-			continue
-		}
-		if int(b.col[i]) >= width {
-			return fmt.Errorf("node %d split column %d out of range [0,%d)", i, b.col[i], width)
-		}
-		if math.IsNaN(b.threshold[i]) || math.IsInf(b.threshold[i], 0) {
-			return fmt.Errorf("node %d threshold is not finite: %v", i, b.threshold[i])
-		}
-		l, r := b.left[i], b.right[i]
-		if int(l) <= i || int(l) >= nodes || int(r) <= i || int(r) >= nodes || l == r {
-			return fmt.Errorf("node %d child indices (%d,%d) out of range (%d,%d)", i, l, r, i, nodes)
-		}
-	}
-	return nil
 }
 
 // resolveAttrs maps each training attribute onto its column in the given row
@@ -367,49 +309,6 @@ func (t *Tree) resolveAttrs(attrs []string) ([]int, error) {
 		colOf[j] = found
 	}
 	return colOf, nil
-}
-
-// Predict evaluates the bound tree on a row laid out in the bound schema; it
-// performs exactly the comparisons Tree.Predict performs, in the same order,
-// so the results are bit-identical.
-func (b *BoundTree) Predict(row []float64) float64 {
-	i := int32(0)
-	for b.col[i] >= 0 {
-		if row[b.col[i]] <= b.threshold[i] {
-			i = b.left[i]
-		} else {
-			i = b.right[i]
-		}
-	}
-	return b.value[i]
-}
-
-// PredictBatch evaluates the bound tree on every row, writing one prediction
-// per row into out (len(out) must be >= len(rows)). Each row goes through
-// exactly the scalar Predict walk, so batch and scalar results are
-// bit-identical.
-func (b *BoundTree) PredictBatch(rows [][]float64, out []float64) {
-	for i, row := range rows {
-		out[i] = b.Predict(row)
-	}
-}
-
-// Columns returns the row columns the bound tree's splits read, sorted
-// ascending and de-duplicated. Consumers use it to skip computing feature
-// columns the tree can never look at.
-func (b *BoundTree) Columns() []int {
-	seen := make(map[int]bool)
-	for _, c := range b.col {
-		if c >= 0 {
-			seen[int(c)] = true
-		}
-	}
-	out := make([]int, 0, len(seen))
-	for c := range seen {
-		out = append(out, c)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // PredictDataset returns predictions for every instance of ds.

@@ -66,18 +66,25 @@ func (d *diffStream) step(t testing.TB) (crashed bool) {
 	if d.replay.Step(&cp) {
 		return true
 	}
-	want, err := d.ref.Observe(cp)
+	d.observe(t, &cp)
+	return false
+}
+
+// observe runs one checkpoint through the reference and sends it to every
+// connection.
+func (d *diffStream) observe(t testing.TB, cp *monitor.Checkpoint) {
+	t.Helper()
+	want, err := d.ref.Observe(*cp)
 	if err != nil {
 		t.Fatalf("reference observe: %v", err)
 	}
 	d.seq++
 	for i, c := range d.conns {
-		if err := c.Send(d.seq, &cp); err != nil {
+		if err := c.Send(d.seq, cp); err != nil {
 			t.Fatalf("conn %d send seq %d: %v", i, d.seq, err)
 		}
 	}
 	d.pending = append(d.pending, pendingPred{seq: d.seq, want: want})
-	return false
 }
 
 // drain collects n pending replies (all of them when n < 0) from every
@@ -124,6 +131,87 @@ func (d *diffStream) boundary(t testing.TB, kind ResolveKind, crashTimeSec float
 	}
 	d.replay.Restart()
 	d.ref = d.model.NewSession()
+}
+
+// longStream replays one fleet instance over and over on a running clock,
+// n checkpoints in all: a stream far longer than any one run-to-crash, with
+// no boundary of its own.
+func longStream(seed uint64, n int) []monitor.Checkpoint {
+	replay := fleet.NewReplay(seed, fleet.Specs(seed, 1)[0])
+	cps := make([]monitor.Checkpoint, 0, n)
+	offset, last := 0.0, 0.0
+	for len(cps) < n {
+		var cp monitor.Checkpoint
+		if replay.Step(&cp) {
+			replay.Restart()
+			offset = last
+			continue
+		}
+		cp.TimeSec += offset
+		last = cp.TimeSec
+		cps = append(cps, cp)
+	}
+	return cps
+}
+
+// TestLongConnectionServeDifferential drives one connection per server —
+// scalar and batched, frozen and adaptive — through more than three times
+// the feature windows' 4096-push sum recomputation, with RESETs at uneven
+// positions, and checks every served prediction bit for bit against one
+// local reference session that is recycled through Reset, never rebuilt.
+// The stream segments between RESETs cross the recomputation once and twice
+// in a row, so this pins served bits ≡ local reference and reset ≡ fresh
+// over the wire at lengths the other differentials never reach.
+func TestLongConnectionServeDifferential(t *testing.T) {
+	model := goldenModel(t)
+	cps := longStream(90, 3*4096+1200)
+	resets := map[int]bool{1: true, 777: true, 4990: true}
+	for _, mode := range []string{"frozen", "adaptive"} {
+		t.Run(mode, func(t *testing.T) {
+			scalarCfg := Config{Model: model}
+			batchedCfg := batchedConfig(model, 7)
+			if mode == "adaptive" {
+				// Retraining is disabled by an unreachable freshness bar, as in
+				// TestBatchedServeDifferential: bit-identity is under test.
+				for _, cfg := range []*Config{&scalarCfg, &batchedCfg} {
+					sup, err := adapt.NewSupervisor(adapt.Config{MinFreshRuns: 1 << 30}, model)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cfg.Model, cfg.Supervisor = nil, sup
+				}
+			}
+			var conns []Conn
+			for _, cfg := range []Config{scalarCfg, batchedCfg} {
+				c, err := Dial(startServer(t, cfg).TCPAddr(), "")
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c.Close()
+				conns = append(conns, c)
+			}
+			d := newDiffStream(model, 0, conns...)
+			for i := range cps {
+				if resets[i] {
+					d.drain(t, -1)
+					for k, c := range conns {
+						if err := c.Resolve(ResolveCensored, 0); err != nil {
+							t.Fatalf("conn %d resolve: %v", k, err)
+						}
+						if err := c.Reset(); err != nil {
+							t.Fatalf("conn %d reset: %v", k, err)
+						}
+					}
+					d.ref.Reset()
+				}
+				d.observe(t, &cps[i])
+				if len(d.pending) >= 32 {
+					d.drain(t, 16)
+				}
+			}
+			d.drain(t, -1)
+		})
+	}
 }
 
 // TestBatchedServeDifferential is the tentpole's proof: batched server vs

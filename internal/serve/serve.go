@@ -518,12 +518,14 @@ func (ss *session) record(cp *monitor.Checkpoint, pred core.Prediction) {
 
 // reset starts a fresh stream on the connection, adopting the server's
 // current model epoch — the boundary at which SwapModel (or an adaptive
-// retrain) reaches this connection. Frozen mode builds a genuinely new
-// session rather than recycling the old one's buffers: the wire contract is
-// that a RESET stream is indistinguishable from a new connection, which is
-// what lets agingload verify served predictions bit-for-bit against a local
-// reference across crash/reset cycles. Resets happen at stream boundaries
-// (crashes, rejuvenations), so the allocation is off the hot path.
+// retrain) reaches this connection. Frozen mode builds the new session from
+// that epoch's model, because the old session belongs to the model the
+// connection started its last stream on. Recycling it through Session.Reset
+// would give the same bits — a reset session is a fresh one, which
+// TestLongConnectionServeDifferential pins over the wire — but could not
+// adopt a swapped model, and one path for both cases is simpler. Resets
+// happen at stream boundaries (crashes, rejuvenations), so the allocation is
+// off the hot path.
 func (ss *session) reset() {
 	if ss.stream != nil {
 		ss.stream.Reset()
