@@ -68,9 +68,14 @@ func (b *Batch) Stage(s *Session, cp *monitor.Checkpoint) error {
 	if s.m != b.m {
 		return fmt.Errorf("core: staging a session of a different model into batch")
 	}
+	b.stage(s, cp)
+	return nil
+}
+
+// stage is Stage for a session already known to belong to the batch's model.
+func (b *Batch) stage(s *Session, cp *monitor.Checkpoint) {
 	s.stream.StepInto(cp, b.rows.Next())
 	b.times = append(b.times, cp.TimeSec)
-	return nil
 }
 
 // Predict evaluates the regressor over every staged row and returns one
@@ -104,4 +109,112 @@ func (b *Batch) Predict() ([]Prediction, error) {
 		preds[i] = pr
 	}
 	return preds, nil
+}
+
+// Stager is one shard's staging engine: it groups the checkpoints staged
+// between two sweeps by the model their session serves — one Batch per model,
+// so sessions on different epochs (an adaptive fleet mid-swap, a hot-swapped
+// server) land in different groups — and sweeps every group with one
+// Batch.Predict. T is the caller's per-row tag (an instance ID, a reply
+// handle), handed back beside each row's prediction.
+//
+// The eviction rule: a group with nothing staged is dropped when no session
+// of the shard serves its model any more. Without it a long adaptive run
+// would keep every epoch it ever served; with it a group survives while, say,
+// a down instance still holds a session on a retired epoch.
+//
+// Live model counts are tiny (usually one), so a row's group is found by
+// linear scan. Like Batch, a Stager serves one goroutine, and in steady state
+// Stage, Predict and Evict allocate nothing.
+type Stager[T any] struct {
+	groups   []*stageGroup[T]
+	capacity int
+}
+
+type stageGroup[T any] struct {
+	b    *Batch
+	tags []T // one per staged row, in staging order
+}
+
+// NewStager creates an empty staging engine whose per-model groups
+// pre-allocate capacity rows (the shard size or flush size; a group grows
+// past it if needed).
+func NewStager[T any](capacity int) *Stager[T] {
+	return &Stager[T]{capacity: capacity}
+}
+
+// Stage advances s by one checkpoint, as Batch.Stage does, into the group of
+// the model s serves, creating the group on that model's first row, and
+// remembers tag for the row.
+func (st *Stager[T]) Stage(s *Session, cp *monitor.Checkpoint, tag T) {
+	var g *stageGroup[T]
+	for _, c := range st.groups {
+		if c.b.m == s.m {
+			g = c
+			break
+		}
+	}
+	if g == nil {
+		g = &stageGroup[T]{b: s.m.NewBatch(st.capacity), tags: make([]T, 0, st.capacity)}
+		st.groups = append(st.groups, g)
+	}
+	g.b.stage(s, cp)
+	g.tags = append(g.tags, tag)
+}
+
+// Predict sweeps every group with rows staged, in the order the groups were
+// created, and calls fn once per group with the rows' tags and predictions in
+// staging order (or the group's Batch.Predict error), then empties the group,
+// keeping its buffers. Both slices are valid only during the call.
+func (st *Stager[T]) Predict(fn func(tags []T, preds []Prediction, err error)) {
+	for _, g := range st.groups {
+		if len(g.tags) == 0 {
+			continue
+		}
+		preds, err := g.b.Predict()
+		fn(g.tags, preds, err)
+		g.b.Reset()
+		g.tags = g.tags[:0]
+	}
+}
+
+// Evict applies the eviction rule: it drops every group with nothing staged
+// whose model serves reports no session of the shard serving. serves is asked
+// only about idle groups, so its scan stays off the steady-state path.
+func (st *Stager[T]) Evict(serves func(*Model) bool) {
+	kept := st.groups[:0]
+	for _, g := range st.groups {
+		if len(g.tags) > 0 || serves(g.b.m) {
+			kept = append(kept, g)
+		}
+	}
+	clear(st.groups[len(kept):])
+	st.groups = kept
+}
+
+// Models returns the models that currently have a group, in group order.
+func (st *Stager[T]) Models() []*Model {
+	ms := make([]*Model, len(st.groups))
+	for i, g := range st.groups {
+		ms[i] = g.b.m
+	}
+	return ms
+}
+
+// ShardOf is the consistent ID→shard assignment shared by every sharded
+// engine (fleet instances, served sessions): a 64-bit FNV-1a hash of the
+// ID's eight little-endian bytes, reduced modulo shards. Stable across runs
+// and independent of staging order.
+func ShardOf(id uint64, shards int) int {
+	const (
+		offset = 14695981039346656037
+		prime  = 1099511628211
+	)
+	h := uint64(offset)
+	for i := 0; i < 8; i++ {
+		h ^= id & 0xff
+		h *= prime
+		id >>= 8
+	}
+	return int(h % uint64(shards))
 }

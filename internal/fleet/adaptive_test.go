@@ -99,8 +99,8 @@ func TestAdaptiveFleetSwapsEpochs(t *testing.T) {
 
 // TestAdaptiveFleetDeterministicAcrossShardCounts extends the fleet's core
 // determinism guarantee to adaptive serving over the batched prediction
-// path: adaptive streams are staged into per-model shard batches (one
-// core.Batch per live epoch per shard), the drift trajectory, the retrain
+// path: adaptive streams are staged through each shard's core.Stager (one
+// core.Batch group per live epoch), the drift trajectory, the retrain
 // schedule and the per-epoch stats are pure functions of the seed, and the
 // JSON report stays byte-identical across shard counts even though the
 // retrains themselves run on background goroutines.

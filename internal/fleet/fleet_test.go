@@ -462,19 +462,3 @@ func TestRunHonoursCancelledContext(t *testing.T) {
 		t.Fatalf("cancelled run took %v to return", elapsed)
 	}
 }
-
-func TestShardAssignmentConsistent(t *testing.T) {
-	counts := make([]int, 8)
-	for id := 0; id < 4096; id++ {
-		s := shardOf(id, 8)
-		if s != shardOf(id, 8) {
-			t.Fatalf("shard assignment of %d is not stable", id)
-		}
-		counts[s%8]++
-	}
-	for s, n := range counts {
-		if n == 0 {
-			t.Fatalf("shard %d received no instances", s)
-		}
-	}
-}

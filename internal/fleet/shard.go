@@ -52,22 +52,8 @@ type obsResult struct {
 	kind   resultKind
 }
 
-// modelBatch is one shard worker's reusable prediction batch for one distinct
-// model. A worker keeps one per model its instances currently serve — usually
-// exactly one; a few under per-class schemas or adaptive epochs — found by
-// linear scan. A batch whose model went idle this tick is evicted unless some
-// session of the shard still serves that model (a down instance may come back
-// from an outage still on a retired epoch); without the eviction a long
-// adaptive run would scan every epoch it ever served, every instance, every
-// tick.
-type modelBatch struct {
-	m   *core.Model
-	b   *core.Batch
-	ids []int // instance IDs staged this tick, in staging order
-}
-
 // pool is the sharded simulation-and-prediction engine: every instance is
-// consistently assigned to one shard (an FNV-1a hash of its ID), each shard
+// consistently assigned to one shard (core.ShardOf of its ID), each shard
 // is one worker goroutine, and each instance's simulator state and session
 // are touched only by its own shard — so no locks are needed around any
 // per-instance mutable state.
@@ -76,7 +62,7 @@ type modelBatch struct {
 // tick's clock (tSec/dtSec) and wakes each worker once (flush). A worker
 // walks its shard's instances in ascending ID order, steps each live
 // instance's simulator straight into the per-instance checkpoint slot,
-// stages the survivors back to back into per-model core.Batch evaluations,
+// stages the survivors into its core.Stager (one core.Batch per model),
 // sweeps the flattened regressors over the contiguous batches, records the
 // predictions, writes one result slot per instance, and hits the tick
 // barrier. One channel send and one WaitGroup count per shard per tick is
@@ -100,9 +86,9 @@ type pool struct {
 	down     []bool
 	cps      []monitor.Checkpoint // per-instance checkpoint slot for the tick
 	results  []obsResult
-	shardIDs [][]int // static per-shard instance IDs, ascending
-	batches  [][]*modelBatch
-	staged   []int // per-shard count of staged instances this tick
+	shardIDs [][]int             // static per-shard instance IDs, ascending
+	stagers  []*core.Stager[int] // per shard; each row tagged with its instance ID
+	staged   []int               // per-shard count of staged instances this tick
 
 	// tick parameters, written by the driver before flush.
 	tSec, dtSec float64
@@ -129,7 +115,7 @@ func newPool(shards int, sessions []observer, instances []*instance, serial bool
 		cps:       make([]monitor.Checkpoint, len(sessions)),
 		results:   make([]obsResult, len(sessions)),
 		shardIDs:  make([][]int, shards),
-		batches:   make([][]*modelBatch, shards),
+		stagers:   make([]*core.Stager[int], shards),
 		staged:    make([]int, shards),
 		serial:    serial,
 	}
@@ -137,8 +123,11 @@ func newPool(shards int, sessions []observer, instances []*instance, serial bool
 	// for determinism (independent RNG streams), but a fixed order keeps the
 	// batch layouts — and so the Record call pattern — reproducible.
 	for id := range sessions {
-		s := shardOf(id, shards)
+		s := core.ShardOf(uint64(id), shards)
 		p.shardIDs[s] = append(p.shardIDs[s], id)
+	}
+	for s, ids := range p.shardIDs {
+		p.stagers[s] = core.NewStager[int](len(ids))
 	}
 	if serial {
 		return p
@@ -169,17 +158,13 @@ func (p *pool) worker(s int, ch <-chan struct{}) {
 // worker goroutine or inline in serial mode.
 func (p *pool) shardTick(s int) {
 	t, dt := p.tSec, p.dtSec
-	batches := p.batches[s]
-	for _, mb := range batches {
-		mb.b.Reset()
-		mb.ids = mb.ids[:0]
-	}
+	st, ids := p.stagers[s], p.shardIDs[s]
 	// Local slice headers: the step/Stage calls below take &cps[id], so
 	// without these the compiler must conservatively reload every p field
 	// after each call.
-	instances, down, cps, results := p.instances, p.down, p.cps, p.results
+	sessions, instances, down, cps, results := p.sessions, p.instances, p.down, p.cps, p.results
 	staged := 0
-	for _, id := range p.shardIDs[s] {
+	for _, id := range ids {
 		in := instances[id]
 		if down[id] {
 			// Down the whole interval: its users keep offering traffic that
@@ -193,85 +178,32 @@ func (p *pool) shardTick(s int) {
 			results[id] = obsResult{kind: resCrashed, flow: in.expectedThroughput(t) * dt}
 			continue
 		}
-		sess := p.sessions[id].Session()
-		m := sess.Model()
-		var mb *modelBatch
-		for _, c := range batches {
-			if c.m == m {
-				mb = c
-				break
-			}
-		}
-		if mb == nil {
-			mb = &modelBatch{m: m, b: m.NewBatch(len(p.shardIDs[s]))}
-			batches = append(batches, mb)
-		}
-		if err := mb.b.Stage(sess, &cps[id]); err != nil {
-			results[id] = obsResult{kind: resServed, err: err}
-			continue
-		}
-		mb.ids = append(mb.ids, id)
+		st.Stage(sessions[id].Session(), &cps[id], id)
 		results[id] = obsResult{kind: resServed, flow: cps[id].Throughput * dt}
 		staged++
 	}
-	// Predict per model, and evict batches that went idle: a batch with no
-	// staged instance this tick is kept only while some session of the shard
-	// still serves its model (the sessions of down instances included — they
-	// resume on their old epoch if no reset intervenes).
-	live := batches[:0]
-	for _, mb := range batches {
-		if len(mb.ids) == 0 {
-			if p.shardServesModel(s, mb.m) {
-				live = append(live, mb)
+	// A down instance's session counts as serving: it resumes on its old
+	// epoch if no reset intervenes.
+	st.Evict(func(m *core.Model) bool {
+		for _, id := range ids {
+			if sessions[id].Session().Model() == m {
+				return true
 			}
-			continue
 		}
-		live = append(live, mb)
-		mBatchSize.Observe(float64(len(mb.ids)))
-		preds, err := mb.b.Predict()
-		if err != nil {
-			for _, id := range mb.ids {
-				p.results[id].err = err
+		return false
+	})
+	st.Predict(func(group []int, preds []core.Prediction, err error) {
+		mBatchSize.Observe(float64(len(group)))
+		for k, id := range group {
+			if err != nil {
+				results[id].err = err
+				continue
 			}
-			continue
+			sessions[id].Record(&cps[id], preds[k])
+			results[id].ttfSec = preds[k].TTFSec
 		}
-		for k, id := range mb.ids {
-			pred := preds[k]
-			p.sessions[id].Record(&p.cps[id], pred)
-			p.results[id].ttfSec = pred.TTFSec
-		}
-	}
-	p.batches[s] = live
+	})
 	p.staged[s] = staged
-}
-
-// shardServesModel reports whether any session of shard s currently serves
-// model m. Only reached for idle batches (an epoch retiring), so the linear
-// walk is off the steady-state path.
-func (p *pool) shardServesModel(s int, m *core.Model) bool {
-	for _, id := range p.shardIDs[s] {
-		if p.sessions[id].Session().Model() == m {
-			return true
-		}
-	}
-	return false
-}
-
-// shardOf is the consistent instance→shard assignment: a 64-bit FNV-1a hash
-// of the instance ID. Stable across runs and independent of staging order.
-func shardOf(id, shards int) int {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	x := uint64(id)
-	for i := 0; i < 8; i++ {
-		h ^= x & 0xff
-		h *= prime
-		x >>= 8
-	}
-	return int(h % uint64(shards))
 }
 
 // flush hands the tick to the workers, one signal per shard; the driver must

@@ -57,11 +57,12 @@ func tickPool(p *pool, tick int) {
 }
 
 // TestModelBatchEviction drives a single-shard pool through several model
-// "epoch swaps" and checks the per-model batch list never accumulates retired
-// epochs: a batch whose model went idle is dropped the first tick no session
-// of the shard serves it any more — unless a down instance still holds a
-// session on the old epoch, in which case it must be retained until that
-// instance moves on.
+// "epoch swaps" and checks its stager never accumulates retired epochs: a
+// group whose model went idle is dropped the first tick no session of the
+// shard serves it any more — unless a down instance still holds a session on
+// the old epoch, in which case it must be retained until that instance moves
+// on. The rule itself is core.Stager's (TestStagerEviction); this pins the
+// fleet's predicate, which counts down instances' sessions.
 func TestModelBatchEviction(t *testing.T) {
 	base := testModel(t)
 	const n = 4
@@ -79,12 +80,12 @@ func TestModelBatchEviction(t *testing.T) {
 
 	tick := 1
 	tickPool(p, tick)
-	if len(p.batches[0]) != 1 || p.batches[0][0].m != base {
-		t.Fatalf("after the first tick, want exactly one batch for the base model, got %d", len(p.batches[0]))
+	if ms := p.stagers[0].Models(); len(ms) != 1 || ms[0] != base {
+		t.Fatalf("after the first tick, want exactly one group for the base model, got %d", len(ms))
 	}
 
 	// Several epoch swaps: every instance adopts the next epoch, the old
-	// epoch's batch must be gone by the end of the next tick.
+	// epoch's group must be gone by the end of the next tick.
 	current := base
 	for epoch := 2; epoch <= 5; epoch++ {
 		next := cloneModel(t, base)
@@ -93,21 +94,21 @@ func TestModelBatchEviction(t *testing.T) {
 		}
 		tick++
 		tickPool(p, tick)
-		batches := p.batches[0]
-		if len(batches) != 1 {
-			t.Fatalf("epoch %d: %d batches retained, want 1 (retired epochs must be evicted)", epoch, len(batches))
+		ms := p.stagers[0].Models()
+		if len(ms) != 1 {
+			t.Fatalf("epoch %d: %d groups retained, want 1 (retired epochs must be evicted)", epoch, len(ms))
 		}
-		if batches[0].m != next {
-			t.Fatalf("epoch %d: surviving batch serves the wrong model", epoch)
+		if ms[0] != next {
+			t.Fatalf("epoch %d: surviving group serves the wrong model", epoch)
 		}
-		if batches[0].m == current {
-			t.Fatalf("epoch %d: batch still on the retired epoch", epoch)
+		if ms[0] == current {
+			t.Fatalf("epoch %d: group still on the retired epoch", epoch)
 		}
 		current = next
 	}
 
 	// Retention case: instance 0 stays on the current epoch but goes down;
-	// everyone else moves to a new epoch. The old epoch's batch idles (nothing
+	// everyone else moves to a new epoch. The old epoch's group idles (nothing
 	// staged) but must survive while the down instance's session still serves
 	// it — the instance resumes on that model if no reset intervenes.
 	next := cloneModel(t, base)
@@ -117,21 +118,22 @@ func TestModelBatchEviction(t *testing.T) {
 	p.down[0] = true
 	tick++
 	tickPool(p, tick)
-	if got := len(p.batches[0]); got != 2 {
-		t.Fatalf("down instance on a retired epoch: %d batches, want 2 (old epoch retained)", got)
+	if got := len(p.stagers[0].Models()); got != 2 {
+		t.Fatalf("down instance on a retired epoch: %d groups, want 2 (old epoch retained)", got)
 	}
 
 	// The down instance comes back and adopts the new epoch at reset: the old
-	// batch loses its last holdout and is evicted.
+	// group loses its last holdout and is evicted.
 	p.down[0] = false
 	swaps[0].s = next.NewSession()
 	tick++
 	tickPool(p, tick)
-	if got := len(p.batches[0]); got != 1 {
-		t.Fatalf("after the holdout moved on: %d batches, want 1", got)
+	ms := p.stagers[0].Models()
+	if len(ms) != 1 {
+		t.Fatalf("after the holdout moved on: %d groups, want 1", len(ms))
 	}
-	if p.batches[0][0].m != next {
-		t.Fatal("surviving batch serves the wrong model")
+	if ms[0] != next {
+		t.Fatal("surviving group serves the wrong model")
 	}
 }
 
@@ -139,26 +141,36 @@ func TestModelBatchEviction(t *testing.T) {
 // pool tick — step every instance, stage features, batch predict, record
 // results — allocates nothing, and neither does an idle controller advance.
 // Uses a mixed population (every class present) so every fault branch of the
-// stepper and the staging/predict path are exercised.
+// stepper and the staging/predict path are exercised; the two-epoch case is
+// an adaptive fleet mid-swap, every shard staging, sweeping and evicting over
+// two live groups.
 func TestTickZeroAllocs(t *testing.T) {
 	model := testModel(t)
-	specs := Specs(3, 32)
-	n := len(specs)
-	instances := make([]*instance, n)
-	observers := make([]observer, n)
-	for i, spec := range specs {
-		instances[i] = newInstance(3, spec)
-		observers[i] = sessionObserver{model.NewSession()}
-	}
-	p := newPool(2, observers, instances, true)
-	defer p.close()
+	for _, epochs := range []int{1, 2} {
+		second := model
+		if epochs == 2 {
+			second = cloneModel(t, model)
+		}
+		specs := Specs(3, 32)
+		n := len(specs)
+		instances := make([]*instance, n)
+		observers := make([]observer, n)
+		for i, spec := range specs {
+			instances[i] = newInstance(3, spec)
+			m := model
+			if i&2 != 0 { // not i&1: with two shards, the shard is the ID's parity
+				m = second
+			}
+			observers[i] = sessionObserver{m.NewSession()}
+		}
+		p := newPool(2, observers, instances, true)
+		defer p.close()
 
-	// Warm up: grow the batches and feature buffers to their steady-state
-	// capacity, and get every sliding window past its fill phase. Crashes are
-	// reset inline (no controller here) so instances keep serving.
-	tick := 0
-	warm := func(ticks int) {
-		for i := 0; i < ticks; i++ {
+		// Warm up: grow the batches and feature buffers to their steady-state
+		// capacity, and get every sliding window past its fill phase. Crashes
+		// are reset inline (no controller here) so instances keep serving.
+		tick := 0
+		for tick < 64 {
 			tick++
 			tickPool(p, tick)
 			for id, in := range instances {
@@ -168,15 +180,19 @@ func TestTickZeroAllocs(t *testing.T) {
 				}
 			}
 		}
-	}
-	warm(64)
+		for s, st := range p.stagers {
+			if got := len(st.Models()); got != epochs {
+				t.Fatalf("shard %d has %d live groups, want %d", s, got, epochs)
+			}
+		}
 
-	allocs := testing.AllocsPerRun(50, func() {
-		tick++
-		tickPool(p, tick)
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state pool tick allocates %.1f times, want 0", allocs)
+		allocs := testing.AllocsPerRun(50, func() {
+			tick++
+			tickPool(p, tick)
+		})
+		if allocs != 0 {
+			t.Fatalf("steady-state pool tick with %d epochs live allocates %.1f times, want 0", epochs, allocs)
+		}
 	}
 
 	// An idle controller advance (no completions due) is on the same per-tick
@@ -186,7 +202,7 @@ func TestTickZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctrl.Crash(0, 1, 600)
-	allocs = testing.AllocsPerRun(50, func() {
+	allocs := testing.AllocsPerRun(50, func() {
 		ctrl.AdvanceDetailed(2) // long before the 600 s downtime completes
 	})
 	if allocs != 0 {

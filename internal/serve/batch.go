@@ -1,11 +1,12 @@
 package serve
 
-// Cross-connection micro-batched serving: the fleet's sharded batch engine
-// put behind the accept loop. In batched mode (Config.Batch > 0) a connection
-// reader no longer evaluates checkpoints inline; every session-touching frame
-// becomes a typed op on the session's shard queue, a single worker goroutine
-// per shard stages CHECKPOINT rows into per-model-epoch core.Batch groups
-// (each a contiguous features.RowBatch) and evaluates each group with one
+// Cross-connection micro-batched serving: the fleet's per-shard staging engine
+// (core.Stager) put behind the accept loop. In batched mode (Config.Batch > 0)
+// a connection reader no longer evaluates checkpoints inline; every
+// session-touching frame becomes a typed op on the session's shard queue
+// (core.ShardOf of the session ID), a single worker goroutine per shard stages
+// CHECKPOINT rows into its Stager's per-model-epoch core.Batch groups (each a
+// contiguous features.RowBatch) and evaluates each group with one
 // PredictBatch sweep per flush, fanning the PREDICT frames back out through
 // per-connection writer goroutines. Flushes happen when the staged rows reach
 // Config.Batch, when the oldest row has waited Config.BatchWindow (so a lone
@@ -57,23 +58,6 @@ const (
 	// per stageBurst rows, not one per row.
 	stageBurst = 32
 )
-
-// shardOf is the consistent session→shard assignment: the same 64-bit FNV-1a
-// discipline internal/fleet uses for instance→shard placement, so a session's
-// batching shard is stable for its whole connection lifetime.
-func shardOf(id uint64, shards int) int {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for i := 0; i < 8; i++ {
-		h ^= id & 0xff
-		h *= prime
-		id >>= 8
-	}
-	return int(h % uint64(shards))
-}
 
 // connWriter owns the write half of one batched-mode connection. Shard
 // workers fan encoded reply buffers into its bounded queue; a dedicated
@@ -211,17 +195,9 @@ func (bs *batchSession) recycleRows(r []stageRow) {
 	}
 }
 
-// serveBatch groups the staged rows of one model epoch — the serving-tier
-// mirror of the fleet's modelBatch. Sessions on different epochs (mid hot
-// swap) land in different groups, each evaluated with one PredictBatch call.
-type serveBatch struct {
-	m       *core.Model
-	b       *core.Batch
-	entries []batchEntry
-}
-
-// batchEntry remembers, per staged row, everything the flush needs to fan the
-// prediction back out and (adaptive mode) record it for label resolution.
+// batchEntry is the shard's per-row staging tag: everything the flush needs to
+// fan the prediction back out and (adaptive mode) record it for label
+// resolution.
 type batchEntry struct {
 	bs    *batchSession
 	seq   uint32
@@ -245,9 +221,10 @@ func newBatcher(s *Server, size, shards int, window time.Duration) *batcher {
 	b.shards = make([]*batchShard, shards)
 	for i := range b.shards {
 		sh := &batchShard{
-			bat:  b,
-			ops:  make(chan batchOp, batchOpQueueDepth),
-			done: make(chan struct{}),
+			bat:    b,
+			ops:    make(chan batchOp, batchOpQueueDepth),
+			done:   make(chan struct{}),
+			staged: core.NewStager[batchEntry](size),
 		}
 		b.shards[i] = sh
 		go sh.run()
@@ -278,7 +255,7 @@ func (b *batcher) stop() {
 func (b *batcher) serveConn(nc net.Conn, br *bufio.Reader, bw *bufio.Writer, fr *frameReader, sess *session) {
 	s := b.srv
 	id := b.nextID.Add(1)
-	sh := b.shards[shardOf(id, len(b.shards))]
+	sh := b.shards[core.ShardOf(id, len(b.shards))]
 	w := newConnWriter(nc, bw)
 	bs := &batchSession{id: id, sess: sess, w: w, rowPool: make(chan []stageRow, 4)}
 	go w.run()
@@ -375,7 +352,7 @@ type batchShard struct {
 
 	// Worker-owned.
 	sessions   []*batchSession
-	batches    []*serveBatch
+	staged     *core.Stager[batchEntry]
 	touched    []*batchSession
 	pending    int
 	timer      *time.Timer
@@ -450,7 +427,7 @@ func (sh *batchShard) apply(op batchOp) {
 	case opReset:
 		sh.flushPending()
 		bs.sess.reset()
-		sh.dropIdleBatches()
+		sh.staged.Evict(sh.serves)
 	case opClose:
 		sh.flushPending()
 		sh.reply(bs, &Frame{Type: FrameClose})
@@ -475,15 +452,7 @@ func (sh *batchShard) flushPending() {
 }
 
 func (sh *batchShard) stage(bs *batchSession, row *stageRow) {
-	sess := bs.sess.coreSession()
-	sb := sh.batchFor(sess.Model())
-	if err := sb.b.Stage(sess, &row.cp); err != nil {
-		sh.reply(bs, &Frame{Type: FrameError, Code: ErrCodeInternal, Message: err.Error()})
-		bs.w.dead.Store(true)
-		bs.w.nc.Close()
-		return
-	}
-	sb.entries = append(sb.entries, batchEntry{
+	sh.staged.Stage(bs.sess.coreSession(), &row.cp, batchEntry{
 		bs: bs, seq: row.seq, epoch: bs.sess.epochSeq(), start: row.start, cp: row.cp,
 	})
 	sh.pending++
@@ -493,40 +462,16 @@ func (sh *batchShard) stage(bs *batchSession, row *stageRow) {
 	}
 }
 
-// batchFor finds (or creates) the staging group for one model epoch — a
-// linear scan, like the fleet's shard worker: live epoch counts are tiny.
-func (sh *batchShard) batchFor(m *core.Model) *serveBatch {
-	for _, sb := range sh.batches {
-		if sb.m == m {
-			return sb
+// serves reports whether any session on this shard still serves model m: the
+// staging groups' eviction predicate (sessions change epochs at RESET and
+// leave at eviction; both evict with nothing staged).
+func (sh *batchShard) serves(m *core.Model) bool {
+	for _, bs := range sh.sessions {
+		if bs.sess.coreSession().Model() == m {
+			return true
 		}
 	}
-	sb := &serveBatch{m: m, b: m.NewBatch(sh.bat.size)}
-	sh.batches = append(sh.batches, sb)
-	return sb
-}
-
-// dropIdleBatches forgets staging groups for epochs no session on this shard
-// serves any more (sessions change epochs at RESET and leave at eviction).
-// Called only off the hot path, with nothing staged.
-func (sh *batchShard) dropIdleBatches() {
-	kept := sh.batches[:0]
-	for _, sb := range sh.batches {
-		inUse := false
-		for _, bs := range sh.sessions {
-			if bs.sess.coreSession().Model() == sb.m {
-				inUse = true
-				break
-			}
-		}
-		if inUse {
-			kept = append(kept, sb)
-		}
-	}
-	for i := len(kept); i < len(sh.batches); i++ {
-		sh.batches[i] = nil
-	}
-	sh.batches = kept
+	return false
 }
 
 // evict removes the session from the shard and closes its writer. flushPending
@@ -542,7 +487,7 @@ func (sh *batchShard) evict(bs *batchSession) {
 		}
 	}
 	close(bs.w.ch)
-	sh.dropIdleBatches()
+	sh.staged.Evict(sh.serves)
 }
 
 // reply appends one control frame to the session's reply stream — after any
@@ -562,15 +507,10 @@ func (sh *batchShard) reply(bs *batchSession, f *Frame) {
 // the bookkeeping half Session.Observe would have done inline.
 func (sh *batchShard) flush(cause *obs.Counter) {
 	touched := sh.touched[:0]
-	for _, sb := range sh.batches {
-		n := sb.b.Len()
-		if n == 0 {
-			continue
-		}
-		mBatchSize.Observe(float64(n))
-		preds, err := sb.b.Predict()
-		for i := range sb.entries {
-			e := &sb.entries[i]
+	sh.staged.Predict(func(entries []batchEntry, preds []core.Prediction, err error) {
+		mBatchSize.Observe(float64(len(entries)))
+		for i := range entries {
+			e := &entries[i]
 			if err != nil {
 				// The whole group failed (unbound-model fallback only): refuse
 				// each staged session and let its reader evict it.
@@ -598,11 +538,9 @@ func (sh *batchShard) flush(cause *obs.Counter) {
 			mBatchLatency.Observe(time.Since(e.start).Seconds())
 		}
 		if err == nil {
-			tcpMetrics.predictions.Add(uint64(n))
+			tcpMetrics.predictions.Add(uint64(len(entries)))
 		}
-		sb.b.Reset()
-		sb.entries = sb.entries[:0]
-	}
+	})
 	// Count the flush before any reply leaves: a client that has read its
 	// prediction must find the flush that produced it already counted.
 	cause.Inc()
