@@ -24,6 +24,7 @@ import (
 	"agingpred/internal/features"
 	"agingpred/internal/fleet"
 	"agingpred/internal/monitor"
+	"agingpred/internal/obs"
 	"agingpred/internal/testbed"
 )
 
@@ -140,11 +141,33 @@ func BenchmarkScenarioMatrix(b *testing.B) {
 // CPU. The shared model is trained once outside the timed loop; every run
 // streams the same deterministic 256-instance fleet through the sharded
 // predictor workers, so the shard axis isolates the scaling of the
-// prediction layer itself.
+// prediction layer itself. The obs-off case repeats the 4-shard run with the
+// global metrics gate off: against shards-4 it is the measured cost of the
+// instrumentation.
 func BenchmarkFleet(b *testing.B) {
 	model, err := fleet.TrainModel(benchSeed)
 	if err != nil {
 		b.Fatal(err)
+	}
+	run := func(b *testing.B, shards int) {
+		checkpoints := int64(0)
+		for i := 0; i < b.N; i++ {
+			rep, err := fleet.Run(fleet.Config{
+				Instances: 256,
+				Shards:    shards,
+				Duration:  45 * time.Minute,
+				Seed:      benchSeed,
+				Model:     model,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if rep.Checkpoints == 0 {
+				b.Fatal("fleet predicted no checkpoints")
+			}
+			checkpoints += rep.Checkpoints
+		}
+		b.ReportMetric(float64(checkpoints)/b.Elapsed().Seconds(), "instance-checkpoints/sec")
 	}
 	shardCounts := []int{1, 4, runtime.GOMAXPROCS(0)}
 	seen := map[int]bool{}
@@ -153,27 +176,13 @@ func BenchmarkFleet(b *testing.B) {
 			continue
 		}
 		seen[shards] = true
-		b.Run(fmt.Sprintf("shards-%d", shards), func(b *testing.B) {
-			checkpoints := int64(0)
-			for i := 0; i < b.N; i++ {
-				rep, err := fleet.Run(fleet.Config{
-					Instances: 256,
-					Shards:    shards,
-					Duration:  45 * time.Minute,
-					Seed:      benchSeed,
-					Model:     model,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if rep.Checkpoints == 0 {
-					b.Fatal("fleet predicted no checkpoints")
-				}
-				checkpoints += rep.Checkpoints
-			}
-			b.ReportMetric(float64(checkpoints)/b.Elapsed().Seconds(), "instance-checkpoints/sec")
-		})
+		b.Run(fmt.Sprintf("shards-%d", shards), func(b *testing.B) { run(b, shards) })
 	}
+	b.Run("obs-off", func(b *testing.B) {
+		obs.SetEnabled(false)
+		defer obs.SetEnabled(true)
+		run(b, 4)
+	})
 }
 
 // BenchmarkFleetBatch isolates the batched prediction engine from the fleet
@@ -283,6 +292,16 @@ func ablationData(b *testing.B) ([]*monitor.Series, *monitor.Series) {
 	return train, res.Series
 }
 
+// benchSchema returns the registered feature schema with the given name.
+func benchSchema(b *testing.B, name string) *features.Schema {
+	b.Helper()
+	s, err := features.LookupSchema(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return s
+}
+
 // evalConfig trains a model with the given configuration on the ablation
 // data and reports its MAE.
 func evalConfig(b *testing.B, cfg core.Config) float64 {
@@ -352,7 +371,7 @@ func BenchmarkAblationModels(b *testing.B) {
 	for _, kind := range []core.ModelKind{core.ModelM5P, core.ModelLinearRegression, core.ModelRegressionTree} {
 		b.Run(string(kind), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				mae := evalConfig(b, core.Config{Model: kind, Variables: features.NoHeapSet})
+				mae := evalConfig(b, core.Config{Model: kind, Schema: benchSchema(b, features.NoHeapSchemaName)})
 				b.ReportMetric(mae, "mae-sec")
 			}
 		})
@@ -364,8 +383,7 @@ func BenchmarkAblationModels(b *testing.B) {
 // matters for the paper's goal of eventually re-training on-line.
 func BenchmarkTrainM5P(b *testing.B) {
 	train, _ := ablationData(b)
-	extractor := features.NewExtractor(features.DefaultWindowLength)
-	ds, err := extractor.ExtractAll("bench", train, features.FullSet)
+	ds, err := benchSchema(b, features.FullSchemaName).ExtractAll("bench", train)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -419,10 +437,10 @@ func BenchmarkTestbedRun(b *testing.B) {
 // a full aging execution.
 func BenchmarkFeatureExtraction(b *testing.B) {
 	_, test := ablationData(b)
-	extractor := features.NewExtractor(features.DefaultWindowLength)
+	schema := benchSchema(b, features.FullSchemaName)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := extractor.Extract(test, features.FullSet); err != nil {
+		if _, err := schema.Extract(test); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -70,13 +70,11 @@ func run(args []string) error {
 		modelsDir  = fs.String("save-models", "", "if set, save the models experiment 4.1 trains as versioned artifacts (exp41-m5p.bin, exp41-linreg.bin) into this directory, for agingpredict/agingfleet -load (single-seed path only)")
 		seeds      = fs.String("seeds", "", "matrix mode: seed sweep, \"N..M\" or comma list (e.g. 1..8)")
 		scenario   = fs.String("scenario", "", "matrix mode: comma-separated scenario names, or \"all\" (default: derived from -experiment)")
-		schema     = fs.String("schema", "", "feature schema overriding each experiment's default variable set (see -list for the registered names)")
+		schema     = fs.String("schema", "", "feature schema overriding each experiment's default schema (see -list for the registered names)")
 		parallel   = fs.Int("parallel", 0, "matrix mode: worker pool size (default: number of CPUs)")
 		verbose    = fs.Bool("v", false, "matrix mode: print every cell summary, not just the aggregate table")
 		jsonOut    = fs.Bool("json", false, "matrix mode: emit machine-readable JSON (cells + aggregates) on stdout")
 		list       = fs.Bool("list", false, "list the registered scenarios and exit")
-		benchJSON  = fs.String("bench-json", "", "measure the fleet serving stack (end-to-end icp/sec per shard count, scalar vs batch ns/checkpoint) and append the datapoints to this trajectory file (e.g. BENCH_fleet.json), then exit")
-		benchStamp = fs.String("bench-stamp", "", "stamp recorded with -bench-json datapoints (default: today's date)")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file (inspect with go tool pprof)")
 		memProfile = fs.String("memprofile", "", "write an end-of-run heap profile to this file (inspect with go tool pprof)")
 	)
@@ -88,13 +86,6 @@ func run(args []string) error {
 		return err
 	}
 	defer stopProfiles()
-	if *benchJSON != "" {
-		stamp := *benchStamp
-		if stamp == "" {
-			stamp = time.Now().Format("2006-01-02")
-		}
-		return runBenchJSON(*benchJSON, *seed, stamp)
-	}
 	if *list {
 		fmt.Printf("%-10s %-11s %s\n", "SCENARIO", "SCHEMA", "DESCRIPTION")
 		for _, sc := range experiments.AllScenarios() {
@@ -253,8 +244,7 @@ func runMatrix(which, scenario, seedsFlag, schema string, seed uint64, workers i
 }
 
 // The -json document mirrors MatrixResult with stable snake_case keys, so
-// bench trajectories (BENCH_*.json) are parsed, not scraped from the human
-// table.
+// scripts parse the matrix rather than scrape the human table.
 type matrixJSON struct {
 	Scenarios   []string        `json:"scenarios"`
 	Seeds       []uint64        `json:"seeds"`

@@ -77,6 +77,7 @@ import (
 	"agingpred/internal/features"
 	"agingpred/internal/fleet"
 	"agingpred/internal/prof"
+	"agingpred/internal/serve/admin"
 )
 
 func main() {
@@ -184,7 +185,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	defer stop()
 
 	if *listen != "" {
-		addr, stopSrv, err := startObsServer(*listen)
+		addr, stopSrv, err := admin.Start(*listen)
 		if err != nil {
 			return fmt.Errorf("-listen: %w", err)
 		}

@@ -8,14 +8,16 @@ import (
 	"time"
 
 	"agingpred"
+	"agingpred/internal/serve/admin"
 )
 
-// TestObsMuxEndpoints exercises the -listen handlers without a listener: the
-// metrics endpoint must speak the Prometheus text format and carry the
-// documented series (the instrumented packages register them at init), and
-// the health probe must answer structured JSON.
+// TestObsMuxEndpoints exercises the -listen handlers (admin.Mux, shared with
+// agingserve) without a listener: the metrics endpoint must speak the
+// Prometheus text format and carry the documented series (the instrumented
+// packages register them at init), and the health probe must answer
+// structured JSON.
 func TestObsMuxEndpoints(t *testing.T) {
-	mux := obsMux(time.Now())
+	mux := admin.Mux(time.Now())
 
 	rec := httptest.NewRecorder()
 	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
@@ -62,12 +64,12 @@ func TestObsMuxEndpoints(t *testing.T) {
 	}
 }
 
-// TestStartObsServerBindsAndStops checks the real listener path with an
-// ephemeral port.
+// TestStartObsServerBindsAndStops checks the real -listen path (admin.Start)
+// with an ephemeral port.
 func TestStartObsServerBindsAndStops(t *testing.T) {
-	addr, stop, err := startObsServer("127.0.0.1:0")
+	addr, stop, err := admin.Start("127.0.0.1:0")
 	if err != nil {
-		t.Fatalf("startObsServer: %v", err)
+		t.Fatalf("admin.Start: %v", err)
 	}
 	defer stop()
 	if addr == "" || strings.HasSuffix(addr, ":0") {

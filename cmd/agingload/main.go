@@ -22,11 +22,11 @@
 // for predictions from a later epoch than the handshake's.
 //
 // -duration is simulated stream time per instance (15 s checkpoints), not
-// wall time: the generator sends as fast as the server answers. -bench-json
-// appends the run to a benchjson trajectory file (BENCH_serve.json), and
-// -sweep 1,2,4,8 replays the whole run at each connection count in turn — a
-// concurrency sweep, one benchjson run per point — which is how the batched
-// server's cross-connection wins are measured against the scalar baseline.
+// wall time: the generator sends as fast as the server answers. -sweep 1,2,4,8
+// replays the whole run at each connection count in turn — a concurrency
+// sweep, one result line per point — so the batched server's cross-connection
+// behaviour can be driven and verified at several fan-ins in one call. Speed
+// claims are measured by perfbench's serve-stream workload, not by this tool.
 package main
 
 import (
@@ -40,7 +40,6 @@ import (
 	"sync"
 	"time"
 
-	"agingpred/internal/benchjson"
 	"agingpred/internal/core"
 	"agingpred/internal/fleet"
 	"agingpred/internal/monitor"
@@ -78,13 +77,9 @@ func run(args []string) error {
 		duration    = fs.Duration("duration", 2*time.Minute, "simulated stream time per instance (15s checkpoints), not wall time")
 		seed        = fs.Uint64("seed", 1, "population seed (same seed = same instances as agingfleet)")
 		window      = fs.Int("window", 32, "checkpoints pipelined ahead per connection")
-		sweep       = fs.String("sweep", "", "comma-separated connection counts to sweep (e.g. 1,4,16); overrides -conns, one result line and benchjson run per point")
+		sweep       = fs.String("sweep", "", "comma-separated connection counts to sweep (e.g. 1,4,16); overrides -conns, one result line per point")
 		loadPath    = fs.String("load", "", "model artifact for local reference verification (must be what the server serves)")
 		verifyEvery = fs.Int("verify-every", 8, "verify every Nth instance bit-for-bit against the local reference (0 = none; needs -load)")
-		benchPath   = fs.String("bench-json", "", "append the run to this benchjson trajectory file")
-		label       = fs.String("label", "", "benchjson run label (default serve/<transport>)")
-		stamp       = fs.String("stamp", "", "benchjson run stamp (a date or PR tag)")
-		note        = fs.String("note", "", "benchjson run note")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -135,10 +130,7 @@ func run(args []string) error {
 		points = pts
 	}
 
-	var (
-		runs       []benchjson.Run
-		mismatches int
-	)
+	mismatches := 0
 	for _, c := range points {
 		o := opts
 		o.conns = c
@@ -163,34 +155,6 @@ func run(args []string) error {
 				res.verified, res.mismatches, res.skipped)
 		}
 		mismatches += res.mismatches
-		l := *label
-		if l == "" {
-			l = "serve/" + o.transport
-		}
-		if len(points) > 1 {
-			l = fmt.Sprintf("%s/c%d", l, o.conns)
-		}
-		runs = append(runs, benchjson.Run{
-			Label: l,
-			Stamp: *stamp,
-			Note:  *note,
-			Metrics: map[string]float64{
-				"checkpoints_per_sec": math.Round(cps),
-				"latency_p50_us":      math.Round(p50*1e6*10) / 10,
-				"latency_p99_us":      math.Round(p99*1e6*10) / 10,
-			},
-		})
-	}
-	if *benchPath != "" {
-		f := &benchjson.File{
-			Bench:   "serve",
-			Command: fmt.Sprintf("agingload -transport %s -instances %d -conns %s -duration %v -seed %d", opts.transport, opts.instances, sweepString(points), *duration, opts.seed),
-			Env:     benchjson.CurrentEnv(),
-			Runs:    runs,
-		}
-		if err := benchjson.Merge(*benchPath, f); err != nil {
-			return err
-		}
 	}
 	if mismatches > 0 {
 		return fmt.Errorf("%d sampled predictions did not match the local reference", mismatches)
@@ -209,14 +173,6 @@ func parseSweep(s string) ([]int, error) {
 		points = append(points, n)
 	}
 	return points, nil
-}
-
-func sweepString(points []int) string {
-	parts := make([]string, len(points))
-	for i, p := range points {
-		parts[i] = strconv.Itoa(p)
-	}
-	return strings.Join(parts, ",")
 }
 
 // result aggregates one run's counters across connections.

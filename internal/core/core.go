@@ -64,13 +64,9 @@ type Config struct {
 	Model ModelKind
 	// Schema selects the feature schema the model extracts and learns on
 	// (see the features schema registry: "full", "no-heap", "heap-focus",
-	// "full+conn", or any caller-registered schema). When nil, the schema is
-	// derived from Variables. Schema wins when both are set.
+	// "full+conn", or any caller-registered schema). When nil, the full
+	// Table 2 schema is used.
 	Schema *features.Schema
-	// Variables selects the Table 2 variable subset (default features.FullSet).
-	// It is the legacy spelling of the three paper schemas; Schema supersedes
-	// it.
-	Variables features.VariableSet
 	// WindowLength is the sliding-window length, in checkpoints, used for
 	// the derived consumption-speed features (default 12, or the schema's
 	// own default). A non-default value re-parameterises the schema via
@@ -97,7 +93,9 @@ func (c Config) withDefaults() Config {
 		c.Model = ModelM5P
 	}
 	if c.Schema == nil {
-		c.Schema = c.Variables.Schema()
+		// The built-in schemas are registered at init, so the lookup cannot
+		// fail.
+		c.Schema, _ = features.LookupSchema(features.FullSchemaName)
 	}
 	if c.WindowLength > 0 {
 		c.Schema = c.Schema.WithWindow(c.WindowLength)

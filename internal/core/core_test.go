@@ -136,8 +136,9 @@ func TestM5PBeatsLinearRegressionOnAgingData(t *testing.T) {
 
 	// The comparison uses the paper's experiment 4.1 variable set (no heap
 	// zone information), which is the setting Table 3 reports.
+	noHeap := schemaNamed(t, features.NoHeapSchemaName)
 	evalModel := func(kind ModelKind) evalx.Report {
-		m, err := Train(Config{Model: kind, Variables: features.NoHeapSet}, train)
+		m, err := Train(Config{Model: kind, Schema: noHeap}, train)
 		if err != nil {
 			t.Fatalf("Train(%s): %v", kind, err)
 		}

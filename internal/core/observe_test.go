@@ -63,6 +63,16 @@ func trainedOn(t testing.TB, cfg Config) *Model {
 	return m
 }
 
+// schemaNamed returns the registered feature schema with the given name.
+func schemaNamed(t testing.TB, name string) *features.Schema {
+	t.Helper()
+	s, err := features.LookupSchema(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // TestObserveZeroAllocs pins the acceptance criterion of the schema
 // refactor, now phrased against the Session hot path: steady-state
 // Session.Observe performs no allocations per checkpoint for every model
@@ -229,12 +239,12 @@ func TestCustomSchemaKeepsItsWindow(t *testing.T) {
 // row layout used to race on that cache; Model now serialises them. Under
 // `go test -race` this test fails without the lock.
 func TestConcurrentPredictRowIsSafe(t *testing.T) {
-	m := trainedOn(t, Config{Model: ModelLinearRegression, Variables: features.NoHeapSet})
+	m := trainedOn(t, Config{Model: ModelLinearRegression, Schema: schemaNamed(t, features.NoHeapSchemaName)})
 	// Rows in the full Table 2 layout: wider than and reordered relative to
 	// the model's own no-heap schema, so every resolution goes through the
 	// regressor's lazy name-resolving cache.
 	test := leakSeries("wide", 120, 1.8, 0.25)
-	wideDS, err := features.FullSet.Schema().Extract(test)
+	wideDS, err := schemaNamed(t, features.FullSchemaName).Extract(test)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,11 +294,11 @@ func TestUnboundModelSessionErrors(t *testing.T) {
 		leakSeries("train-a", 300, 2.0, 0.3),
 		leakSeries("train-b", 400, 1.5, 0.2),
 	}
-	fullDS, err := features.FullSet.Schema().ExtractAll("wide", train)
+	fullDS, err := schemaNamed(t, features.FullSchemaName).ExtractAll("wide", train)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := TrainDataset(Config{Variables: features.NoHeapSet}, fullDS)
+	m, err := TrainDataset(Config{Schema: schemaNamed(t, features.NoHeapSchemaName)}, fullDS)
 	if err != nil {
 		t.Fatal(err)
 	}

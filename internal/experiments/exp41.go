@@ -59,11 +59,11 @@ func Experiment41(opts Options) (*Experiment41Result, error) {
 
 	// The paper does not add the heap information in this experiment (the
 	// -schema flag can override the no-heap default).
-	m5pModel, err := trainScenarioModel(opts, core.ModelM5P, features.NoHeapSet, trainSeries)
+	m5pModel, err := trainScenarioModel(opts, core.ModelM5P, features.NoHeapSchemaName, trainSeries)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: training M5P for 4.1: %w", err)
 	}
-	lrModel, err := trainScenarioModel(opts, core.ModelLinearRegression, features.NoHeapSet, trainSeries)
+	lrModel, err := trainScenarioModel(opts, core.ModelLinearRegression, features.NoHeapSchemaName, trainSeries)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: training linear regression for 4.1: %w", err)
 	}

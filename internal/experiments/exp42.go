@@ -168,11 +168,11 @@ func Experiment42(opts Options) (*Experiment42Result, error) {
 		return nil, err
 	}
 
-	m5pModel, err := trainScenarioModel(opts, core.ModelM5P, features.FullSet, trainSeries)
+	m5pModel, err := trainScenarioModel(opts, core.ModelM5P, features.FullSchemaName, trainSeries)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: training M5P for 4.2: %w", err)
 	}
-	lrModel, err := trainScenarioModel(opts, core.ModelLinearRegression, features.FullSet, trainSeries)
+	lrModel, err := trainScenarioModel(opts, core.ModelLinearRegression, features.FullSchemaName, trainSeries)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: training linear regression for 4.2: %w", err)
 	}

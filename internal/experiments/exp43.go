@@ -90,15 +90,19 @@ func Experiment43(opts Options) (*Experiment43Result, error) {
 
 	// Three models: M5P and Linear Regression on the heap-focused subset
 	// (Table 4), plus M5P on the full set to document why selection matters.
-	m5pSelected, err := core.Train(core.Config{Model: core.ModelM5P, Variables: features.HeapFocusSet}, trainSeries)
+	heapFocus, err := features.LookupSchema(features.HeapFocusSchemaName)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %w", err)
+	}
+	m5pSelected, err := core.Train(core.Config{Model: core.ModelM5P, Schema: heapFocus}, trainSeries)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: training selected M5P for 4.3: %w", err)
 	}
-	lrSelected, err := core.Train(core.Config{Model: core.ModelLinearRegression, Variables: features.HeapFocusSet}, trainSeries)
+	lrSelected, err := core.Train(core.Config{Model: core.ModelLinearRegression, Schema: heapFocus}, trainSeries)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: training selected linear regression for 4.3: %w", err)
 	}
-	m5pFull, err := trainScenarioModel(opts, core.ModelM5P, features.FullSet, trainSeries)
+	m5pFull, err := trainScenarioModel(opts, core.ModelM5P, features.FullSchemaName, trainSeries)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: training full-set M5P for 4.3: %w", err)
 	}

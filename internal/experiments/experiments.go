@@ -111,33 +111,22 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// modelConfig builds the core.Config for an experiment's primary models: the
-// experiment's paper-faithful variable set by default, or the schema named by
-// Options.Schema when the caller overrides it (the agingbench -schema flag).
-// An unknown schema name fails fast with the list of valid names.
-func modelConfig(opts Options, model core.ModelKind, fallback features.VariableSet) (core.Config, error) {
-	cfg := core.Config{Model: model, Variables: fallback}
+// trainScenarioModel fits an immutable model for one of an experiment's
+// primary model families on the experiment's training series. The model
+// learns on the experiment's paper-faithful schema (schemaName), or on the
+// schema named by Options.Schema when the caller overrides it (the
+// agingbench -schema flag); an unknown schema name fails fast with the list
+// of valid names. Evaluation then runs through per-stream sessions
+// (Model.PredictSeries and friends), never by mutating a shared predictor.
+func trainScenarioModel(opts Options, model core.ModelKind, schemaName string, series []*monitor.Series) (*core.Model, error) {
 	if opts.Schema != "" {
-		schema, err := features.LookupSchema(opts.Schema)
-		if err != nil {
-			return core.Config{}, fmt.Errorf("experiments: %w", err)
-		}
-		cfg.Schema = schema
+		schemaName = opts.Schema
 	}
-	return cfg, nil
-}
-
-// trainScenarioModel is modelConfig + core.Train in one step: it fits an
-// immutable model for one of an experiment's primary model families on the
-// experiment's training series. Evaluation then runs through per-stream
-// sessions (Model.PredictSeries and friends), never by mutating a shared
-// predictor.
-func trainScenarioModel(opts Options, model core.ModelKind, fallback features.VariableSet, series []*monitor.Series) (*core.Model, error) {
-	cfg, err := modelConfig(opts, model, fallback)
+	schema, err := features.LookupSchema(schemaName)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("experiments: %w", err)
 	}
-	return core.Train(cfg, series)
+	return core.Train(core.Config{Model: model, Schema: schema}, series)
 }
 
 // TracePoint is one sample of a predicted-vs-observed trace, used to redraw

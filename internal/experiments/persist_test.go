@@ -25,7 +25,7 @@ func TestModelRoundTripOnGolden41Stream(t *testing.T) {
 	if err != nil {
 		t.Fatalf("training runs: %v", err)
 	}
-	model, err := trainScenarioModel(opts, core.ModelM5P, features.NoHeapSet, trainSeries)
+	model, err := trainScenarioModel(opts, core.ModelM5P, features.NoHeapSchemaName, trainSeries)
 	if err != nil {
 		t.Fatalf("training: %v", err)
 	}

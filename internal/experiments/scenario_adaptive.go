@@ -132,7 +132,7 @@ func ExperimentAdaptive(opts Options) (*ExperimentAdaptiveResult, error) {
 		}
 		trainSeries = append(trainSeries, res.Series)
 	}
-	model, err := trainScenarioModel(opts, core.ModelM5P, features.FullSet, trainSeries)
+	model, err := trainScenarioModel(opts, core.ModelM5P, features.FullSchemaName, trainSeries)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: training the adaptive scenario's initial model: %w", err)
 	}

@@ -77,11 +77,11 @@ func ExperimentBursty(opts Options) (*BurstyResult, error) {
 		return nil, err
 	}
 
-	m5pModel, err := trainScenarioModel(opts, core.ModelM5P, features.NoHeapSet, trainSeries)
+	m5pModel, err := trainScenarioModel(opts, core.ModelM5P, features.NoHeapSchemaName, trainSeries)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: training M5P for bursty scenario: %w", err)
 	}
-	lrModel, err := trainScenarioModel(opts, core.ModelLinearRegression, features.NoHeapSet, trainSeries)
+	lrModel, err := trainScenarioModel(opts, core.ModelLinearRegression, features.NoHeapSchemaName, trainSeries)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: training linear regression for bursty scenario: %w", err)
 	}

@@ -126,11 +126,11 @@ func ExperimentTriLeak(opts Options) (*TriLeakResult, error) {
 		return nil, err
 	}
 
-	m5pModel, err := trainScenarioModel(opts, core.ModelM5P, features.FullSet, trainSeries)
+	m5pModel, err := trainScenarioModel(opts, core.ModelM5P, features.FullSchemaName, trainSeries)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: training M5P for trileak scenario: %w", err)
 	}
-	lrModel, err := trainScenarioModel(opts, core.ModelLinearRegression, features.FullSet, trainSeries)
+	lrModel, err := trainScenarioModel(opts, core.ModelLinearRegression, features.FullSchemaName, trainSeries)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: training linear regression for trileak scenario: %w", err)
 	}

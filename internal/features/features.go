@@ -33,8 +33,8 @@
 //
 // New workloads register their own schemas (RegisterSchema) with their own
 // resources; nothing in the learning stack is tied to the Table 2 list. The
-// legacy VariableSet constants below are re-expressed on top of the first
-// three schemas and kept byte-identical to the original lists.
+// first three are pinned byte-identical to the original hard-coded Table 2
+// lists by schema_regression_test.go.
 //
 // Adding a monitored resource is one descriptor plus the derived families it
 // should appear in:
@@ -56,14 +56,6 @@
 // system memory so the model concentrates on the Java-heap evolution.
 package features
 
-import (
-	"errors"
-	"fmt"
-
-	"agingpred/internal/dataset"
-	"agingpred/internal/monitor"
-)
-
 // DefaultWindowLength is the sliding-window length (in checkpoints) used to
 // smooth consumption speeds. Twelve 15-second marks — the paper quantifies
 // the resulting detection delay as "12 marks * 15 seconds per mark, 180
@@ -72,101 +64,3 @@ const DefaultWindowLength = 12
 
 // Target is the name of the target attribute in every generated dataset.
 const Target = "time_to_failure"
-
-// VariableSet selects which Table 2 columns a dataset is built with. It is
-// the legacy spelling of the three paper schemas; Schema() returns the
-// schema a set stands for, and code that wants the full registry (including
-// "full+conn" and caller-registered schemas) should use LookupSchema
-// directly.
-type VariableSet int
-
-const (
-	// FullSet is the complete Table 2 variable list (experiments 4.2, 4.3
-	// "complete" and 4.4).
-	FullSet VariableSet = iota
-	// NoHeapSet omits the per-zone heap variables; experiment 4.1 ("we did
-	// not add the heap information").
-	NoHeapSet
-	// HeapFocusSet is experiment 4.3's expert feature selection: the
-	// variables related to Tomcat-process and system memory are removed so
-	// the model concentrates on the Java-heap evolution.
-	HeapFocusSet
-)
-
-// String names the variable set; the names coincide with the schema names.
-func (v VariableSet) String() string {
-	switch v {
-	case FullSet:
-		return FullSchemaName
-	case NoHeapSet:
-		return NoHeapSchemaName
-	case HeapFocusSet:
-		return HeapFocusSchemaName
-	default:
-		return fmt.Sprintf("VariableSet(%d)", int(v))
-	}
-}
-
-// Schema returns the schema the variable set is an alias for. Unknown values
-// map to the full schema, mirroring the historical behaviour of the filter
-// (no exclusions applied).
-func (v VariableSet) Schema() *Schema {
-	switch v {
-	case NoHeapSet:
-		return noHeapSchema
-	case HeapFocusSet:
-		return heapFocusSchema
-	default:
-		return fullSchema
-	}
-}
-
-// Variables returns the attribute names (excluding the target) of the given
-// variable set, in dataset column order.
-func Variables(set VariableSet) []string { return set.Schema().Attrs() }
-
-// Extractor converts checkpoint series into datasets. The zero value is not
-// usable; use NewExtractor. It is the batch face of the schema pipeline,
-// kept for callers that think in VariableSets; schema-first callers use
-// Schema.Extract directly.
-type Extractor struct {
-	windowLen int
-}
-
-// NewExtractor returns an extractor with the given SWA window length
-// (<= 0 means DefaultWindowLength).
-func NewExtractor(windowLen int) *Extractor {
-	if windowLen <= 0 {
-		windowLen = DefaultWindowLength
-	}
-	return &Extractor{windowLen: windowLen}
-}
-
-// WindowLength returns the configured window length.
-func (e *Extractor) WindowLength() int { return e.windowLen }
-
-// schemaFor resolves a variable set at the extractor's window length.
-func (e *Extractor) schemaFor(set VariableSet) *Schema {
-	return set.Schema().WithWindow(e.windowLen)
-}
-
-// Extract builds a dataset from a single monitored series using the given
-// variable set. One instance is produced per checkpoint; the derived
-// variables at checkpoint i use only information available up to i (so the
-// resulting model can be applied on-line).
-func (e *Extractor) Extract(s *monitor.Series, set VariableSet) (*dataset.Dataset, error) {
-	if s == nil {
-		return nil, errors.New("features: nil series")
-	}
-	return e.schemaFor(set).Extract(s)
-}
-
-// ExtractAll builds one dataset from several series (e.g. the 4-execution
-// training sets the paper uses), concatenating their instances. All series
-// must be non-empty.
-func (e *Extractor) ExtractAll(relation string, series []*monitor.Series, set VariableSet) (*dataset.Dataset, error) {
-	if len(series) == 0 {
-		return nil, errors.New("features: no series")
-	}
-	return e.schemaFor(set).ExtractAll(relation, series)
-}

@@ -3,7 +3,6 @@ package features
 import (
 	"math"
 	"math/rand/v2"
-	"strings"
 	"testing"
 	"time"
 
@@ -51,10 +50,20 @@ func syntheticSeries(n int, leakPerCheckpointMB float64) *monitor.Series {
 	return s
 }
 
+// schemaAttrs returns the attribute list of the registered schema name.
+func schemaAttrs(t *testing.T, name string) []string {
+	t.Helper()
+	s, err := LookupSchema(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s.Attrs()
+}
+
 func TestVariableSets(t *testing.T) {
-	full := Variables(FullSet)
-	noHeap := Variables(NoHeapSet)
-	heapFocus := Variables(HeapFocusSet)
+	full := schemaAttrs(t, FullSchemaName)
+	noHeap := schemaAttrs(t, NoHeapSchemaName)
+	heapFocus := schemaAttrs(t, HeapFocusSchemaName)
 
 	if len(full) != len(allVariables) {
 		t.Fatalf("full set has %d variables, want %d", len(full), len(allVariables))
@@ -101,27 +110,14 @@ func TestVariableSets(t *testing.T) {
 	}
 }
 
-func TestVariableSetString(t *testing.T) {
-	if FullSet.String() != "full" || NoHeapSet.String() != "no-heap" || HeapFocusSet.String() != "heap-focus" {
-		t.Fatalf("VariableSet names wrong")
-	}
-	if got := VariableSet(99).String(); !strings.Contains(got, "99") {
-		t.Fatalf("unknown set String() = %q", got)
-	}
-}
-
 func TestExtractErrors(t *testing.T) {
-	e := NewExtractor(0)
-	if e.WindowLength() != DefaultWindowLength {
-		t.Fatalf("default window length = %d", e.WindowLength())
-	}
-	if _, err := e.Extract(nil, FullSet); err == nil {
+	if _, err := fullSchema.Extract(nil); err == nil {
 		t.Fatalf("Extract(nil) succeeded")
 	}
-	if _, err := e.Extract(&monitor.Series{Name: "empty"}, FullSet); err == nil {
+	if _, err := fullSchema.Extract(&monitor.Series{Name: "empty"}); err == nil {
 		t.Fatalf("Extract of empty series succeeded")
 	}
-	if _, err := e.ExtractAll("x", nil, FullSet); err == nil {
+	if _, err := fullSchema.ExtractAll("x", nil); err == nil {
 		t.Fatalf("ExtractAll with no series succeeded")
 	}
 }
@@ -129,8 +125,7 @@ func TestExtractErrors(t *testing.T) {
 func TestExtractLinearLeakFeatures(t *testing.T) {
 	const leakPerCP = 2.0 // MB per 15 s checkpoint
 	s := syntheticSeries(100, leakPerCP)
-	e := NewExtractor(12)
-	ds, err := e.Extract(s, FullSet)
+	ds, err := fullSchema.Extract(s)
 	if err != nil {
 		t.Fatalf("Extract: %v", err)
 	}
@@ -179,17 +174,20 @@ func TestExtractLinearLeakFeatures(t *testing.T) {
 
 func TestExtractVariableSetsShapes(t *testing.T) {
 	s := syntheticSeries(30, 1)
-	e := NewExtractor(12)
-	for _, set := range []VariableSet{FullSet, NoHeapSet, HeapFocusSet} {
-		ds, err := e.Extract(s, set)
+	for _, name := range []string{FullSchemaName, NoHeapSchemaName, HeapFocusSchemaName} {
+		schema, err := LookupSchema(name)
 		if err != nil {
-			t.Fatalf("Extract(%v): %v", set, err)
+			t.Fatal(err)
 		}
-		if ds.NumAttrs() != len(Variables(set)) {
-			t.Fatalf("set %v: %d attrs, want %d", set, ds.NumAttrs(), len(Variables(set)))
+		ds, err := schema.Extract(s)
+		if err != nil {
+			t.Fatalf("Extract(%s): %v", name, err)
+		}
+		if ds.NumAttrs() != len(schema.Attrs()) {
+			t.Fatalf("schema %s: %d attrs, want %d", name, ds.NumAttrs(), len(schema.Attrs()))
 		}
 		if ds.Len() != 30 {
-			t.Fatalf("set %v: %d instances", set, ds.Len())
+			t.Fatalf("schema %s: %d instances", name, ds.Len())
 		}
 	}
 }
@@ -199,8 +197,7 @@ func TestExtractAllConcatenates(t *testing.T) {
 	a.Name = "a"
 	b := syntheticSeries(30, 2)
 	b.Name = "b"
-	e := NewExtractor(12)
-	ds, err := e.ExtractAll("merged", []*monitor.Series{a, b}, FullSet)
+	ds, err := fullSchema.ExtractAll("merged", []*monitor.Series{a, b})
 	if err != nil {
 		t.Fatalf("ExtractAll: %v", err)
 	}
@@ -214,12 +211,11 @@ func TestExtractAllConcatenates(t *testing.T) {
 
 func TestStreamMatchesBatch(t *testing.T) {
 	s := syntheticSeries(60, 1.5)
-	e := NewExtractor(12)
-	batch, err := e.Extract(s, FullSet)
+	batch, err := fullSchema.Extract(s)
 	if err != nil {
 		t.Fatalf("Extract: %v", err)
 	}
-	stream := FullSet.Schema().Stream()
+	stream := fullSchema.Stream()
 	attrs := stream.Schema().Attrs()
 	if len(attrs) != batch.NumAttrs() {
 		t.Fatalf("stream attrs = %d, batch = %d", len(attrs), batch.NumAttrs())
@@ -237,7 +233,7 @@ func TestStreamMatchesBatch(t *testing.T) {
 
 func TestStreamReset(t *testing.T) {
 	s := syntheticSeries(30, 1)
-	stream := FullSet.Schema().WithWindow(6).Stream()
+	stream := fullSchema.WithWindow(6).Stream()
 	for _, cp := range s.Checkpoints {
 		stream.Step(cp)
 	}
@@ -276,8 +272,7 @@ func TestExtractFromRealTestbedRun(t *testing.T) {
 	if !res.Crashed {
 		t.Fatalf("aging run did not crash")
 	}
-	e := NewExtractor(DefaultWindowLength)
-	ds, err := e.Extract(res.Series, FullSet)
+	ds, err := fullSchema.Extract(res.Series)
 	if err != nil {
 		t.Fatalf("Extract: %v", err)
 	}
@@ -324,7 +319,7 @@ func jittered(n int, seed uint64) []monitor.Checkpoint {
 // after any prefix and a Reset, every feature row is bit-for-bit the row of a
 // fresh extractor, across the windows' 4096-push sum recomputations.
 func TestRowExtractorResetIsFresh(t *testing.T) {
-	schema := FullSet.Schema()
+	schema := fullSchema
 	for _, prefix := range []int{1, 4095, 4097, 6000} {
 		reused := schema.Stream()
 		for _, cp := range jittered(prefix, uint64(prefix)) {

@@ -17,9 +17,9 @@ import (
 // ResourceDescriptors (name, unit, direction, SWA window) from which the
 // paper's derived metrics — SWA consumption speed, its inverse, the speed
 // normalised by throughput, the level over the speed, and their combinations
-// — are generated generically. The legacy VariableSets (full, no-heap,
-// heap-focus) are re-expressed as schemas in schema_defs.go, byte-identical
-// to the original lists, and new workloads can register schemas carrying
+// — are generated generically. The paper's three variable lists (full,
+// no-heap, heap-focus) are schemas in schema_defs.go, byte-identical to the
+// original hard-coded lists, and new workloads can register schemas carrying
 // their own resources (e.g. "full+conn" adds database-connection speed
 // derivatives) without touching this package's core.
 //

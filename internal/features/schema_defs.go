@@ -5,9 +5,9 @@ import "agingpred/internal/monitor"
 // The built-in schemas. The Table 2 layout groups columns by derived family
 // and, inside each family, orders resources the way the paper's table does —
 // which is why the builder below calls the family methods explicitly instead
-// of SpeedDerivatives. The legacy VariableSets (full, no-heap, heap-focus)
-// are these schemas; the regression test in schema_regression_test.go pins
-// them byte-identical to the original hardcoded lists.
+// of SpeedDerivatives. The regression test in schema_regression_test.go pins
+// full, no-heap and heap-focus byte-identical to the original hardcoded
+// lists.
 
 // Checkpoint accessors for the Table 2 raw metrics.
 func cpThroughput(cp *monitor.Checkpoint) float64   { return cp.Throughput }
@@ -29,8 +29,8 @@ func cpOldUsed(cp *monitor.Checkpoint) float64      { return cp.OldUsedMB }
 func cpYoungPct(cp *monitor.Checkpoint) float64     { return cp.YoungPct }
 func cpOldPct(cp *monitor.Checkpoint) float64       { return cp.OldPct }
 
-// Schema names of the built-in schemas. The first three coincide with the
-// legacy VariableSet String() names.
+// Schema names of the built-in schemas. The first three are the paper's
+// variable lists.
 const (
 	FullSchemaName      = "full"
 	NoHeapSchemaName    = "no-heap"

@@ -10,7 +10,7 @@ import (
 // This file pins the schema layer to the original hardcoded feature pipeline
 // it replaced. The constants, exclusion maps, variable list and map-based
 // extractor below are the pre-schema implementation, kept verbatim as test
-// fixtures: each legacy VariableSet must yield an attribute list and a
+// fixtures: each of the paper's three variable lists must yield an attribute list and a
 // dataset byte-identical to its schema-based re-expression, or the golden
 // experiment metrics would silently drift.
 
@@ -77,7 +77,8 @@ const (
 	varSWATomcatMem    = "swa_tomcat_mem_used"
 )
 
-// heapRelated are the variables excluded by NoHeapSet (legacy fixture).
+// heapRelated are the variables excluded by the no-heap list (legacy
+// fixture).
 var heapRelated = map[string]bool{
 	varYoungMax: true, varOldMax: true,
 	varYoungUsed: true, varOldUsed: true,
@@ -90,8 +91,8 @@ var heapRelated = map[string]bool{
 	varROverSWAPerTHYoung: true, varROverSWAPerTHOld: true,
 }
 
-// processMemRelated are the variables removed by HeapFocusSet (legacy
-// fixture).
+// processMemRelated are the variables removed by the heap-focus list
+// (legacy fixture).
 var processMemRelated = map[string]bool{
 	varSysMem: true, varTomcatMem: true,
 	varSWASpeedTomcatMem: true, varSWASpeedSysMem: true,
@@ -133,16 +134,17 @@ var allVariables = []string{
 	varSWAResponseTime, varSWAThroughput, varSWASysMem, varSWATomcatMem,
 }
 
-// legacyVariables reproduces the original Variables(set) filter.
-func legacyVariables(set VariableSet) []string {
+// legacyVariables reproduces the original variable-list filter, keyed by
+// the schema name each list became.
+func legacyVariables(schema string) []string {
 	out := make([]string, 0, len(allVariables))
 	for _, v := range allVariables {
-		switch set {
-		case NoHeapSet:
+		switch schema {
+		case NoHeapSchemaName:
 			if heapRelated[v] {
 				continue
 			}
-		case HeapFocusSet:
+		case HeapFocusSchemaName:
 			if processMemRelated[v] {
 				continue
 			}
@@ -264,36 +266,26 @@ func (st *legacyState) step(cp monitor.Checkpoint) map[string]float64 {
 }
 
 // TestSchemaMatchesLegacyVariableSets is the regression guard of the schema
-// refactor: every legacy variable set, re-expressed as a schema, must
-// produce the identical attribute list and a bit-identical dataset on a
+// refactor: each of the paper's variable lists, re-expressed as a schema,
+// must produce the identical attribute list and a bit-identical dataset on a
 // noisy series.
 func TestSchemaMatchesLegacyVariableSets(t *testing.T) {
 	s := noisySeries(200)
-	for _, tc := range []struct {
-		set    VariableSet
-		schema string
-	}{
-		{FullSet, FullSchemaName},
-		{NoHeapSet, NoHeapSchemaName},
-		{HeapFocusSet, HeapFocusSchemaName},
-	} {
-		t.Run(tc.schema, func(t *testing.T) {
-			schema, err := LookupSchema(tc.schema)
+	for _, name := range []string{FullSchemaName, NoHeapSchemaName, HeapFocusSchemaName} {
+		t.Run(name, func(t *testing.T) {
+			schema, err := LookupSchema(name)
 			if err != nil {
-				t.Fatalf("LookupSchema(%q): %v", tc.schema, err)
-			}
-			if got := tc.set.Schema(); got != schema {
-				t.Fatalf("VariableSet %v resolves to schema %q, want registered %q", tc.set, got.Name(), tc.schema)
+				t.Fatalf("LookupSchema(%q): %v", name, err)
 			}
 			// Attribute lists must match the legacy filter exactly.
-			wantAttrs := legacyVariables(tc.set)
+			wantAttrs := legacyVariables(name)
 			gotAttrs := schema.Attrs()
 			if len(gotAttrs) != len(wantAttrs) {
-				t.Fatalf("schema %q has %d attrs, legacy set has %d", tc.schema, len(gotAttrs), len(wantAttrs))
+				t.Fatalf("schema %q has %d attrs, legacy set has %d", name, len(gotAttrs), len(wantAttrs))
 			}
 			for i := range wantAttrs {
 				if gotAttrs[i] != wantAttrs[i] {
-					t.Fatalf("schema %q attr %d = %q, legacy %q", tc.schema, i, gotAttrs[i], wantAttrs[i])
+					t.Fatalf("schema %q attr %d = %q, legacy %q", name, i, gotAttrs[i], wantAttrs[i])
 				}
 			}
 			// Datasets must be bit-identical to the legacy map-based

@@ -43,8 +43,8 @@ import (
 // enabled is the global instrumentation gate: when off, every Counter, Gauge
 // and Histogram update is a no-op (one atomic load and a predictable branch).
 // It exists so the instrumentation overhead itself can be measured honestly
-// (agingbench records fleet/obs-on vs fleet/obs-off in BENCH_fleet.json);
-// serving runs leave it on.
+// (BenchmarkFleet/obs-off against BenchmarkFleet/shards-4); serving runs
+// leave it on.
 var enabled atomic.Bool
 
 func init() { enabled.Store(true) }
