@@ -37,10 +37,10 @@ type Model struct {
 	// attributes outside the schema — a dataset trained under a wider schema —
 	// in which case sessions fall back to the name-resolving path.
 	bound *flattree.Tree
-	// boundCols caches bound.Columns(): the schema columns the bound
-	// regressor can read. Sessions project their feature extraction onto
-	// this set.
-	boundCols []int
+	// prog is the feature program every session runs, compiled once at
+	// bind time: projected onto bound.Columns() — the schema columns the
+	// bound regressor can read — or every column for an unbound model.
+	prog *features.Program
 	// infiniteSec caches cfg.InfiniteTTF.Seconds(): clamp runs once per
 	// prediction and the Duration division is measurable at fleet rates.
 	infiniteSec float64
@@ -127,7 +127,9 @@ func fitEffective(cfg Config, ds *dataset.Dataset) (*Model, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown model kind %q", cfg.Model)
 	}
-	m.bind()
+	if err := m.bind(); err != nil {
+		return nil, err
+	}
 	return m, nil
 }
 
@@ -136,15 +138,22 @@ func fitEffective(cfg Config, ds *dataset.Dataset) (*Model, error) {
 // no allocations per checkpoint. When the regressor references attributes
 // outside the schema (a dataset trained under a wider schema), bound stays
 // nil and sessions keep the name-resolving fallback, which reports the
-// mismatch per call.
-func (m *Model) bind() {
+// mismatch per call. It then compiles the feature program all sessions
+// share.
+func (m *Model) bind() error {
 	m.bound = nil
-	m.boundCols = nil
 	m.infiniteSec = m.cfg.InfiniteTTF.Seconds()
+	var cols []int // nil: every column, for the name-resolving fallback
 	if bt, err := m.reg.Bind(m.attrs); err == nil {
 		m.bound = bt
-		m.boundCols = bt.Columns()
+		cols = bt.Columns()
 	}
+	prog, err := m.schema.Compile(cols)
+	if err != nil {
+		return fmt.Errorf("core: compiling the feature program: %w", err)
+	}
+	m.prog = prog
+	return nil
 }
 
 // Kind returns the model family.
@@ -349,25 +358,23 @@ func (m *Model) Description() string {
 // fleet-scale rejuvenation wave allocates nothing.
 type Session struct {
 	m      *Model
-	stream *features.RowExtractor
+	stream features.RowExtractor
 }
 
-// NewSession creates a fresh per-stream session for the model. For a
-// schema-bound model the session's feature extraction is projected onto the
-// columns the bound regressor can actually read (Columns of the flattened
-// layout): derived columns the model never looks at are not computed at all,
-// which is a large share of the per-checkpoint cost for typical M5P trees.
-// Projection cannot change any prediction — the computed columns go through
-// exactly the full extractor's arithmetic, and the skipped ones are, by
-// construction, never read.
+// NewSession creates a fresh per-stream session for the model. It only lays
+// out state: the feature program is the model's, compiled once at bind time
+// and shared by every session. For a schema-bound model that program is
+// projected onto the columns the bound regressor can actually read (Columns
+// of the flattened layout): derived columns the model never looks at are
+// not computed at all, and resources no computed column reads are not
+// tracked. Projection cannot change any prediction — the computed columns go
+// through exactly the full extractor's arithmetic, and the skipped ones are,
+// by construction, never read.
 func (m *Model) NewSession() *Session {
 	mSessions.Inc()
-	if m.bound != nil {
-		if stream, err := m.schema.StreamFor(m.boundCols); err == nil {
-			return &Session{m: m, stream: stream}
-		}
-	}
-	return &Session{m: m, stream: m.schema.Stream()}
+	s := &Session{m: m}
+	s.stream.Init(m.prog)
+	return s
 }
 
 // Model returns the shared model the session predicts with.

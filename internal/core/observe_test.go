@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -98,6 +99,87 @@ func TestObserveZeroAllocs(t *testing.T) {
 				t.Fatalf("Session.Observe allocates %.1f objects per checkpoint, want 0", allocs)
 			}
 		})
+	}
+}
+
+// TestNewSessionAllocs pins what opening a session costs. The feature
+// program is the model's, compiled once at bind time, so NewSession only lays
+// out state: the Session with its embedded extractor, the tracked resources'
+// slots, the smoothed windows, and one block holding every ring buffer and
+// the row. (Before the program was shared, a session of the fleet's model
+// cost 52 allocations and 3,880 B.)
+func TestNewSessionAllocs(t *testing.T) {
+	const maxAllocs, maxBytes = 4, 2048
+	for _, kind := range []ModelKind{ModelM5P, ModelLinearRegression, ModelRegressionTree} {
+		t.Run(string(kind), func(t *testing.T) {
+			m := trainedOn(t, Config{Model: kind})
+			var keep *Session
+			allocs := testing.AllocsPerRun(100, func() { keep = m.NewSession() })
+			const n = 200
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < n; i++ {
+				keep = m.NewSession()
+			}
+			runtime.ReadMemStats(&after)
+			_ = keep
+			bytes := (after.TotalAlloc - before.TotalAlloc) / n
+			t.Logf("%.0f allocs, %d B per session", allocs, bytes)
+			if allocs > maxAllocs {
+				t.Errorf("NewSession allocates %.0f objects, ceiling %d", allocs, maxAllocs)
+			}
+			if bytes > maxBytes {
+				t.Errorf("NewSession allocates %d B, ceiling %d", bytes, maxBytes)
+			}
+		})
+	}
+}
+
+// TestSessionsShareOneProgram checks that every session of a model runs the
+// one feature program compiled at bind time, and that sessions of one model
+// observing on separate goroutines each predict exactly what a session
+// observing alone does (under -race this also shows the shared program is
+// only read).
+func TestSessionsShareOneProgram(t *testing.T) {
+	m := trainedOn(t, Config{})
+	a, b := m.NewSession(), m.NewSession()
+	if a.stream.Program() != m.prog || b.stream.Program() != m.prog {
+		t.Fatalf("sessions run programs %p and %p, model compiled %p", a.stream.Program(), b.stream.Program(), m.prog)
+	}
+	test := leakSeries("shared", 400, 1.8, 0.25)
+	want := make([]float64, test.Len())
+	for i, cp := range test.Checkpoints {
+		pred, err := a.Observe(cp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = pred.TTFSec
+	}
+	const workers = 4
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			sess := m.NewSession()
+			for i, cp := range test.Checkpoints {
+				pred, err := sess.Observe(cp)
+				if err == nil && math.Float64bits(pred.TTFSec) != math.Float64bits(want[i]) {
+					err = fmt.Errorf("worker %d checkpoint %d: %v != %v", g, i, pred.TTFSec, want[i])
+				}
+				if err != nil {
+					errs[g] = err
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

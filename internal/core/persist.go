@@ -253,6 +253,8 @@ func modelFromPayload(p *modelPayload) (*Model, error) {
 		}
 		m.reg = rt
 	}
-	m.bind()
+	if err := m.bind(); err != nil {
+		return nil, err
+	}
 	return m, nil
 }

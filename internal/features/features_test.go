@@ -1,6 +1,7 @@
 package features
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -317,9 +318,19 @@ func jittered(n int, seed uint64) []monitor.Checkpoint {
 
 // TestRowExtractorResetIsFresh pins reset ≡ fresh for the compiled extractor:
 // after any prefix and a Reset, every feature row is bit-for-bit the row of a
-// fresh extractor, across the windows' 4096-push sum recomputations.
+// fresh extractor, across the windows' 4096-push sum recomputations. The
+// second input is two extractors of one compiled projected program stepped
+// interleaved: resetting one leaves its sibling's rows undisturbed.
 func TestRowExtractorResetIsFresh(t *testing.T) {
 	schema := fullSchema
+	same := func(what string, i int, got, want []float64) {
+		t.Helper()
+		for j := range want {
+			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("%s: checkpoint %d attr %q = %v, want %v", what, i, schema.Attrs()[j], got[j], want[j])
+			}
+		}
+	}
 	for _, prefix := range []int{1, 4095, 4097, 6000} {
 		reused := schema.Stream()
 		for _, cp := range jittered(prefix, uint64(prefix)) {
@@ -327,14 +338,49 @@ func TestRowExtractorResetIsFresh(t *testing.T) {
 		}
 		reused.Reset()
 		fresh := schema.Stream()
+		what := fmt.Sprintf("reset after %d checkpoints", prefix)
 		for i, cp := range jittered(8300, 7) {
-			got, want := reused.Step(cp), fresh.Step(cp)
-			for j := range want {
-				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-					t.Fatalf("reset after %d checkpoints: checkpoint %d attr %q = %v, fresh extractor %v",
-						prefix, i, schema.Attrs()[j], got[j], want[j])
-				}
-			}
+			same(what, i, reused.Step(cp), fresh.Step(cp))
+		}
+	}
+
+	// Project onto every raw column, the first smoothed level and the
+	// derived columns of every resource but the first: one tracker and at
+	// least one window fewer than the full program.
+	var cols []int
+	for ci, c := range schema.cols {
+		if c.op == opRaw || (c.op == opSmoothedLevel) == (c.res == 0) {
+			cols = append(cols, ci)
+		}
+	}
+	prog, err := schema.Compile(cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(prog.res) != len(schema.resources)-1 || len(prog.smooth) != 1 || len(schema.smoothed) < 2 {
+		t.Fatalf("projection tracks %d of %d resources and %d of %d smoothed levels; the test needs one tracker and a window dropped",
+			len(prog.res), len(schema.resources), len(prog.smooth), len(schema.smoothed))
+	}
+	for _, prefix := range []int{1, 4095, 4097, 6000} {
+		reused, sibling := prog.Stream(), prog.Stream()
+		// The sibling's reference runs its own copy of the program, so it
+		// shares no state with either extractor under test.
+		ref, err := schema.Compile(cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		siblingRef := ref.Stream()
+		other := jittered(prefix+8300, 3)
+		for i, cp := range jittered(prefix, uint64(prefix)) {
+			reused.Step(cp)
+			same("sibling before the reset", i, sibling.Step(other[i]), siblingRef.Step(other[i]))
+		}
+		reused.Reset()
+		fresh := prog.Stream()
+		what := fmt.Sprintf("projected reset after %d checkpoints", prefix)
+		for i, cp := range jittered(8300, 7) {
+			same(what, i, reused.Step(cp), fresh.Step(cp))
+			same("sibling after the reset", prefix+i, sibling.Step(other[prefix+i]), siblingRef.Step(other[prefix+i]))
 		}
 	}
 }

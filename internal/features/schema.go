@@ -23,8 +23,9 @@ import (
 // their own resources (e.g. "full+conn" adds database-connection speed
 // derivatives) without touching this package's core.
 //
-// A Schema is compiled at build time into an index-based column program; the
-// per-stream RowExtractor evaluates that program with no map lookups and no
+// A Schema compiles (Compile) into an immutable, index-based column Program
+// that every stream of a model shares; the per-stream RowExtractor holds only
+// sliding-window state and evaluates that program with no map lookups and no
 // per-checkpoint allocations, which is what keeps core.Session.Observe
 // allocation-free in steady state.
 
@@ -302,27 +303,12 @@ func (s *Schema) NewDataset(relation string) (*dataset.Dataset, error) {
 // information available up to i (so the resulting model can be applied
 // on-line).
 func (s *Schema) Extract(series *monitor.Series) (*dataset.Dataset, error) {
-	if series == nil {
-		return nil, fmt.Errorf("features: nil series")
-	}
-	if series.Len() == 0 {
-		return nil, fmt.Errorf("features: series %q has no checkpoints", series.Name)
-	}
-	ds, err := s.NewDataset(series.Name)
-	if err != nil {
-		return nil, fmt.Errorf("features: building dataset schema: %w", err)
-	}
-	x := s.Stream()
-	for _, cp := range series.Checkpoints {
-		if err := ds.Append(x.Step(cp), cp.TTFSec); err != nil {
-			return nil, fmt.Errorf("features: appending checkpoint at t=%v: %w", cp.TimeSec, err)
-		}
-	}
-	return ds, nil
+	return s.full().extract(series)
 }
 
 // ExtractAll builds one dataset from several series (e.g. the 4-execution
-// training sets the paper uses), concatenating their instances.
+// training sets the paper uses), concatenating their instances. Every
+// series runs through one compiled program.
 func (s *Schema) ExtractAll(relation string, series []*monitor.Series) (*dataset.Dataset, error) {
 	if len(series) == 0 {
 		return nil, fmt.Errorf("features: no series")
@@ -331,8 +317,9 @@ func (s *Schema) ExtractAll(relation string, series []*monitor.Series) (*dataset
 	if err != nil {
 		return nil, fmt.Errorf("features: building dataset schema: %w", err)
 	}
+	p := s.full()
 	for _, sr := range series {
-		ds, err := s.Extract(sr)
+		ds, err := p.extract(sr)
 		if err != nil {
 			return nil, err
 		}
@@ -343,54 +330,77 @@ func (s *Schema) ExtractAll(relation string, series []*monitor.Series) (*dataset
 	return out, nil
 }
 
-// RowExtractor is the compiled per-stream extraction state of one schema:
-// one SpeedTracker per resource, one Window per smoothed level, and a
-// reusable output row. Step is the per-checkpoint hot path — index-based,
-// no map lookups, no allocations in steady state. A RowExtractor serves one
-// checkpoint stream and is not safe for concurrent use.
+// extract is Extract through an already compiled program.
+func (p *Program) extract(series *monitor.Series) (*dataset.Dataset, error) {
+	if series == nil {
+		return nil, fmt.Errorf("features: nil series")
+	}
+	if series.Len() == 0 {
+		return nil, fmt.Errorf("features: series %q has no checkpoints", series.Name)
+	}
+	ds, err := p.s.NewDataset(series.Name)
+	if err != nil {
+		return nil, fmt.Errorf("features: building dataset schema: %w", err)
+	}
+	x := p.Stream()
+	for _, cp := range series.Checkpoints {
+		if err := ds.Append(x.Step(cp), cp.TTFSec); err != nil {
+			return nil, fmt.Errorf("features: appending checkpoint at t=%v: %w", cp.TimeSec, err)
+		}
+	}
+	return ds, nil
+}
+
+// Program is the compiled column program of one schema projection: the
+// resources and smoothed levels a stream must track, the shared
+// intermediates its derived columns read, and the column steps themselves.
+// It is immutable and holds no per-stream state, so one Program serves every
+// stream of a model (core.Model compiles its program once, at bind time) and
+// is safe to share across goroutines; each stream's state is a RowExtractor
+// made by Stream or RowExtractor.Init.
 //
-// An extractor can be projected onto a column subset (StreamFor): only the
+// A program can be projected onto a column subset (Schema.Compile): only the
 // selected columns — and only the sliding-window state they read — are
 // computed, with the remaining row entries left zero. Every computed column
-// performs exactly the operations the full extractor performs, so projected
+// performs exactly the operations the full program performs, so projected
 // and full extraction agree bit-for-bit on the selected columns. This is how
 // a serving session skips the derived features its bound model can never
 // read.
-type RowExtractor struct {
-	s        *Schema
-	trackers []*sliding.SpeedTracker
-	windows  []*sliding.Window
-	// cp holds the checkpoint being processed so accessors can take a
-	// pointer into the extractor instead of escaping a stack copy.
-	cp    monitor.Checkpoint
-	level []float64 // per-resource level of the current checkpoint
-	swa   []float64 // per-resource SWA speed after observing it
-	// inv and los hold the per-resource Inverse(swa) and SafeDiv(level, swa)
-	// shared by the derived families that read them (the plain column and its
-	// per-throughput variant), computed at most once per resource per
-	// checkpoint instead of once per column. needInv/needLos say which
-	// resources any selected column actually reads them for.
-	inv, los         []float64
-	needInv, needLos []bool
-	row              []float64 // reusable output buffer
+type Program struct {
+	s *Schema
+	// res and smooth are the speed-tracked resources and smoothed levels the
+	// selected columns read, in the order of the first column reading each.
+	// Their order is the slot order of a stream's state and of the derived
+	// steps' res index.
+	res    []resStep
+	smooth []smoothStep
+	// bufLen is the total ring-buffer length of one stream: every tracked
+	// resource's window, then every smoothed level's.
+	bufLen int
 
-	// Projection state: the resources and smoothed levels Step actually
-	// updates (all of them for a full extractor).
-	resOn    []int
-	smoothOn []int
-	// resIdx/smoothIdx are the schema's compiled checkpoint field indices of
-	// the resource and smoothed-level accessors (-1 = not a plain field
-	// read, keep the indirect call), shared read-only across extractors.
-	resIdx    []int32
-	smoothIdx []int32
-
-	// The compiled column program for the selected columns, split by kind so
-	// the per-checkpoint loops iterate compact 16/12-byte steps instead of
-	// the schema's fat column structs. Raw and derived columns are pure
-	// reads of disjoint state, so running the raw program first is
-	// bit-identical to the schema's column order.
+	// The column steps for the selected columns, split by kind so the
+	// per-checkpoint loops iterate compact 16/12-byte steps instead of the
+	// schema's fat column structs. Raw and derived columns are pure reads of
+	// disjoint state, so running the raw steps first is bit-identical to the
+	// schema's column order.
 	rawProg     []rawStep
 	derivedProg []derivedStep
+}
+
+// resStep updates one speed-tracked resource. idx is the compiled checkpoint
+// field index of its level (-1 = call level instead); needInv/needLos say
+// whether any selected column reads its shared Inverse(swa) and
+// SafeDiv(level, swa) intermediates.
+type resStep struct {
+	idx, win         int32
+	needInv, needLos bool
+	level            LevelFunc
+}
+
+// smoothStep pushes one smoothed level into its window; idx as in resStep.
+type smoothStep struct {
+	idx, win int32
+	level    LevelFunc
 }
 
 // rawStep copies one raw checkpoint metric into its output column. idx is
@@ -400,31 +410,93 @@ type rawStep struct {
 	level    LevelFunc
 }
 
-// derivedStep computes one derived column from the per-resource speed/level
-// state (or a smoothed-level window, for opSmoothedLevel).
+// derivedStep computes one derived column from a tracked resource's slot (or
+// a smoothed level's slot, for opSmoothedLevel).
 type derivedStep struct {
 	dst, res int32
 	op       colOp
 }
 
-// compile builds the split column program for the selected schema columns,
-// in schema order within each kind, and records which resources need the
-// shared inv/los intermediates.
-func (x *RowExtractor) compile(cols []int) {
+// Compile builds the column program that computes only the given columns
+// (schema column indices) and tracks only the sliding-window state those
+// columns read; the remaining entries of its rows stay zero. nil selects
+// every column. Out-of-range or duplicate indices are an error.
+func (s *Schema) Compile(cols []int) (*Program, error) {
+	on := make([]bool, len(s.cols))
 	for _, ci := range cols {
-		c := &x.s.cols[ci]
-		if c.op == opRaw {
-			x.rawProg = append(x.rawProg, rawStep{dst: int32(ci), idx: c.idx, level: c.level})
+		if ci < 0 || ci >= len(s.cols) {
+			return nil, fmt.Errorf("features: schema %q has no column %d (have %d)", s.name, ci, len(s.cols))
+		}
+		if on[ci] {
+			return nil, fmt.Errorf("features: duplicate projected column %d", ci)
+		}
+		on[ci] = true
+	}
+	if cols == nil {
+		for ci := range on {
+			on[ci] = true
+		}
+	}
+	p := &Program{s: s}
+	// The stream-state slot of each schema resource and smoothed level, plus
+	// one: 0 until a selected column reads it.
+	resSlot := make([]int32, len(s.resources))
+	smoothSlot := make([]int32, len(s.smoothed))
+	for ci, c := range s.cols {
+		if !on[ci] {
 			continue
 		}
+		var slot int32
 		switch c.op {
-		case opInvSpeed, opInvSpeedPerTH:
-			x.needInv[c.res] = true
-		case opLevelOverSpeed, opLevelOverSpeedPerTH:
-			x.needLos[c.res] = true
+		case opRaw:
+			p.rawProg = append(p.rawProg, rawStep{dst: int32(ci), idx: c.idx, level: c.level})
+			continue
+		case opSmoothedLevel:
+			if smoothSlot[c.res] == 0 {
+				win := s.smoothedWindow(c.res)
+				p.smooth = append(p.smooth, smoothStep{idx: s.smoothIdx[c.res], win: int32(win), level: s.smoothed[c.res].level})
+				p.bufLen += win
+				smoothSlot[c.res] = int32(len(p.smooth))
+			}
+			slot = smoothSlot[c.res] - 1
+		default:
+			if resSlot[c.res] == 0 {
+				win := s.resourceWindow(c.res)
+				p.res = append(p.res, resStep{idx: s.resIdx[c.res], win: int32(win), level: s.resources[c.res].Level})
+				p.bufLen += win
+				resSlot[c.res] = int32(len(p.res))
+			}
+			slot = resSlot[c.res] - 1
+			switch c.op {
+			case opInvSpeed, opInvSpeedPerTH:
+				p.res[slot].needInv = true
+			case opLevelOverSpeed, opLevelOverSpeedPerTH:
+				p.res[slot].needLos = true
+			}
 		}
-		x.derivedProg = append(x.derivedProg, derivedStep{dst: int32(ci), res: int32(c.res), op: c.op})
+		p.derivedProg = append(p.derivedProg, derivedStep{dst: int32(ci), res: slot, op: c.op})
 	}
+	return p, nil
+}
+
+// Stream returns fresh extraction state for one checkpoint stream of the
+// program.
+func (p *Program) Stream() *RowExtractor {
+	x := new(RowExtractor)
+	x.Init(p)
+	return x
+}
+
+// Stream returns fresh extraction state for one checkpoint stream,
+// computing every column of the schema.
+func (s *Schema) Stream() *RowExtractor {
+	return s.full().Stream()
+}
+
+// full is the program of every column of the schema.
+func (s *Schema) full() *Program {
+	p, _ := s.Compile(nil) // nil selects every column: cannot fail
+	return p
 }
 
 // fieldIndexOf compiles a level accessor down to the checkpoint field it
@@ -437,8 +509,10 @@ func fieldIndexOf(f LevelFunc) int32 {
 	var p1, p2 monitor.Checkpoint
 	v1, v2 := p1.Vec(), p2.Vec()
 	for i := range v1 {
-		v1[i] = 1e3 + 13.7*math.Sqrt(float64(i)+2)
-		v2[i] = -5e2 - 7.3*math.Cbrt(float64(i)+3)
+		// Rounded products: never fused into an FMA, so the probes hold the
+		// same values on every architecture.
+		v1[i] = 1e3 + float64(13.7*math.Sqrt(float64(i)+2))
+		v2[i] = -5e2 - float64(7.3*math.Cbrt(float64(i)+3))
 	}
 	a, b := f(&p1), f(&p2)
 	for i := range v1 {
@@ -449,97 +523,61 @@ func fieldIndexOf(f LevelFunc) int32 {
 	return -1
 }
 
-// Stream returns a fresh extraction state for one checkpoint stream,
-// computing every column of the schema.
-func (s *Schema) Stream() *RowExtractor {
-	x, _ := s.StreamFor(nil)
-	return x
+// RowExtractor is the per-stream extraction state of one Program: a speed
+// tracker and its shared intermediates per tracked resource, a window per
+// smoothed level, and a reusable output row. The ring buffers of every
+// window and the row sit in one contiguous block, so a stream's whole state
+// is the extractor and three slices, and Step walks it front to back. Step
+// is the per-checkpoint hot path — index-based, no map lookups, no
+// allocations in steady state. A RowExtractor serves one checkpoint stream
+// and is not safe for concurrent use.
+type RowExtractor struct {
+	p       *Program
+	res     []resState // one per Program.res, same order
+	windows []sliding.Window
+	row     []float64 // reusable output buffer
+	// cp holds the checkpoint being processed so accessors can take a
+	// pointer into the extractor instead of escaping a stack copy.
+	cp monitor.Checkpoint
 }
 
-// StreamFor returns a fresh extraction state that computes only the given
-// columns (schema column indices) and maintains only the sliding-window
-// state those columns read; the remaining entries of the returned rows stay
-// zero. nil selects every column. Out-of-range or duplicate indices are an
-// error.
-func (s *Schema) StreamFor(cols []int) (*RowExtractor, error) {
-	x := &RowExtractor{
-		s:         s,
-		trackers:  make([]*sliding.SpeedTracker, len(s.resources)),
-		windows:   make([]*sliding.Window, len(s.smoothed)),
-		level:     make([]float64, len(s.resources)),
-		swa:       make([]float64, len(s.resources)),
-		inv:       make([]float64, len(s.resources)),
-		los:       make([]float64, len(s.resources)),
-		needInv:   make([]bool, len(s.resources)),
-		needLos:   make([]bool, len(s.resources)),
-		resIdx:    s.resIdx,
-		smoothIdx: s.smoothIdx,
-		row:       make([]float64, len(s.cols)),
-	}
-	for i := range s.resources {
-		x.trackers[i] = sliding.NewSpeedTracker(s.resourceWindow(i))
-	}
-	for i := range s.smoothed {
-		x.windows[i] = sliding.NewWindow(s.smoothedWindow(i))
-	}
-	if cols == nil {
-		// A full extractor computes every column and maintains every
-		// tracker, whether or not a column reads it.
-		colsOn := make([]int, len(s.cols))
-		for i := range s.cols {
-			colsOn[i] = i
-		}
-		x.compile(colsOn)
-		x.resOn = make([]int, len(s.resources))
-		for i := range s.resources {
-			x.resOn[i] = i
-		}
-		x.smoothOn = make([]int, len(s.smoothed))
-		for i := range s.smoothed {
-			x.smoothOn[i] = i
-		}
-		return x, nil
-	}
-	seen := make(map[int]bool, len(cols))
-	for _, ci := range cols {
-		if ci < 0 || ci >= len(s.cols) {
-			return nil, fmt.Errorf("features: schema %q has no column %d (have %d)", s.name, ci, len(s.cols))
-		}
-		if seen[ci] {
-			return nil, fmt.Errorf("features: duplicate projected column %d", ci)
-		}
-		seen[ci] = true
-	}
-	colsOn := append([]int(nil), cols...)
-	sort.Ints(colsOn)
-	x.compile(colsOn)
-	resSeen := make([]bool, len(s.resources))
-	smoothSeen := make([]bool, len(s.smoothed))
-	for _, ci := range colsOn {
-		c := &s.cols[ci]
-		switch c.op {
-		case opRaw:
-		case opSmoothedLevel:
-			smoothSeen[c.res] = true
-		default:
-			resSeen[c.res] = true
-		}
-	}
-	for i, on := range resSeen {
-		if on {
-			x.resOn = append(x.resOn, i)
-		}
-	}
-	for i, on := range smoothSeen {
-		if on {
-			x.smoothOn = append(x.smoothOn, i)
-		}
-	}
-	return x, nil
+// resState is one tracked resource's speed tracker with its SWA speed and
+// the shared intermediates of the derived families that read them (the
+// plain column and its per-throughput variant): Inverse(swa) and
+// SafeDiv(level, swa), computed at most once per resource per checkpoint
+// instead of once per column.
+type resState struct {
+	t             sliding.SpeedTracker
+	swa, inv, los float64
 }
+
+// Init makes x fresh extraction state for program p, replacing whatever
+// state x held. It is how an extractor embedded by value (in core.Session)
+// is set up; Program.Stream is Init on a new extractor.
+func (x *RowExtractor) Init(p *Program) {
+	block := make([]float64, p.bufLen+len(p.s.cols))
+	*x = RowExtractor{
+		p:       p,
+		res:     make([]resState, len(p.res)),
+		windows: make([]sliding.Window, len(p.smooth)),
+		row:     block[p.bufLen:],
+	}
+	off := int32(0)
+	for k, st := range p.res {
+		x.res[k].t = sliding.TrackerOver(block[off : off+st.win : off+st.win])
+		off += st.win
+	}
+	for k, st := range p.smooth {
+		x.windows[k] = sliding.WindowOver(block[off : off+st.win : off+st.win])
+		off += st.win
+	}
+}
+
+// Program returns the compiled program the extractor runs.
+func (x *RowExtractor) Program() *Program { return x.p }
 
 // Schema returns the schema the extractor was compiled from.
-func (x *RowExtractor) Schema() *Schema { return x.s }
+func (x *RowExtractor) Schema() *Schema { return x.p.s }
 
 // Step consumes one checkpoint and returns the feature row, aligned with
 // the schema's Attrs. The returned slice is the extractor's internal buffer:
@@ -557,68 +595,71 @@ func (x *RowExtractor) Step(cp monitor.Checkpoint) []float64 {
 // returned truncated to the row width. Entries outside a projected
 // extractor's column set are left untouched.
 func (x *RowExtractor) StepInto(cp *monitor.Checkpoint, dst []float64) []float64 {
-	s := x.s
+	p := x.p
 	vec := cp.Vec()
-	for _, i := range x.resOn {
+	res := x.res
+	steps := p.res[:len(res)]
+	for k := range res {
+		st, r := &steps[k], &res[k]
 		var lvl float64
-		if idx := x.resIdx[i]; idx >= 0 {
-			lvl = vec[idx]
+		if st.idx >= 0 {
+			lvl = vec[st.idx]
 		} else {
-			lvl = s.resources[i].Level(cp)
+			lvl = st.level(cp)
 		}
 		// Errors can only come from non-finite values or time going
 		// backwards; checkpoints are produced by the monitor in time order
 		// with finite values, and a defensive drop of one speed sample is
 		// preferable to aborting an on-line prediction loop.
-		_ = x.trackers[i].Observe(cp.TimeSec, lvl)
-		x.level[i] = lvl
-		swa := x.trackers[i].SWA()
-		x.swa[i] = swa
-		// The shared intermediates of the derived families, computed once per
-		// resource. Pure functions of (lvl, swa), so hoisting them out of the
-		// column loop is bit-identical to computing them per column.
-		if x.needInv[i] {
-			x.inv[i] = sliding.Inverse(swa)
+		_ = r.t.Observe(cp.TimeSec, lvl)
+		swa := r.t.SWA()
+		r.swa = swa
+		// Pure functions of (lvl, swa), so hoisting them out of the column
+		// loop is bit-identical to computing them per column.
+		if st.needInv {
+			r.inv = sliding.Inverse(swa)
 		}
-		if x.needLos[i] {
-			x.los[i] = sliding.SafeDiv(lvl, swa)
+		if st.needLos {
+			r.los = sliding.SafeDiv(lvl, swa)
 		}
 	}
-	for _, i := range x.smoothOn {
-		if idx := x.smoothIdx[i]; idx >= 0 {
-			x.windows[i].Push(vec[idx])
+	windows := x.windows
+	smooth := p.smooth[:len(windows)]
+	for k := range windows {
+		if st := &smooth[k]; st.idx >= 0 {
+			windows[k].Push(vec[st.idx])
 		} else {
-			x.windows[i].Push(s.smoothed[i].level(cp))
+			windows[k].Push(st.level(cp))
 		}
 	}
 	th := cp.Throughput
-	dst = dst[:len(s.cols)]
-	for i := range x.rawProg {
-		r := &x.rawProg[i]
+	dst = dst[:len(p.s.cols)]
+	for i := range p.rawProg {
+		r := &p.rawProg[i]
 		if r.idx >= 0 {
 			dst[r.dst] = vec[r.idx]
 		} else {
 			dst[r.dst] = r.level(cp)
 		}
 	}
-	for i := range x.derivedProg {
-		d := &x.derivedProg[i]
+	for i := range p.derivedProg {
+		d := &p.derivedProg[i]
 		var v float64
 		switch d.op {
 		case opSpeed:
-			v = x.swa[d.res]
+			v = res[d.res].swa
 		case opSpeedPerTH:
-			v = sliding.SafeDiv(x.swa[d.res], th)
+			v = sliding.SafeDiv(res[d.res].swa, th)
 		case opInvSpeed:
-			v = x.inv[d.res]
+			v = res[d.res].inv
 		case opLevelOverSpeed:
-			v = x.los[d.res]
+			v = res[d.res].los
 		case opInvSpeedPerTH:
-			v = sliding.SafeDiv(x.inv[d.res], th)
+			v = sliding.SafeDiv(res[d.res].inv, th)
 		case opLevelOverSpeedPerTH:
-			v = sliding.SafeDiv(x.los[d.res], th)
+			v = sliding.SafeDiv(res[d.res].los, th)
 		case opSmoothedLevel:
-			v = x.windows[d.res].Mean()
+			v = windows[d.res].Mean()
 		}
 		dst[d.dst] = v
 	}
@@ -628,11 +669,11 @@ func (x *RowExtractor) StepInto(cp *monitor.Checkpoint, dst []float64) []float64
 // Reset clears all sliding-window state (e.g. after a rejuvenation action),
 // reusing the existing buffers.
 func (x *RowExtractor) Reset() {
-	for _, t := range x.trackers {
-		t.Reset()
+	for k := range x.res {
+		x.res[k].t.Reset()
 	}
-	for _, w := range x.windows {
-		w.Reset()
+	for k := range x.windows {
+		x.windows[k].Reset()
 	}
 }
 

@@ -166,6 +166,21 @@ func TestSchemaBuilderErrors(t *testing.T) {
 	}
 }
 
+// TestCompileRejectsBadColumns covers the projection's validation, which
+// core.Model surfaces at bind time: an out-of-range or duplicate column is an
+// error, never a silently wider or narrower program.
+func TestCompileRejectsBadColumns(t *testing.T) {
+	n := fullSchema.NumAttrs()
+	for _, cols := range [][]int{{-1}, {n}, {0, 2, 0}} {
+		if _, err := fullSchema.Compile(cols); err == nil {
+			t.Errorf("Compile(%v) accepted", cols)
+		}
+	}
+	if p, err := fullSchema.Compile([]int{}); err != nil || len(p.rawProg)+len(p.derivedProg)+len(p.res)+len(p.smooth) != 0 {
+		t.Errorf("Compile(no columns) = %+v, %v; want an empty program", p, err)
+	}
+}
+
 // TestRowExtractorZeroAlloc pins the hot-path guarantee the fleet relies on:
 // once warm, Step performs no allocations per checkpoint.
 func TestRowExtractorZeroAlloc(t *testing.T) {

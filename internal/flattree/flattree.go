@@ -132,7 +132,7 @@ func (t *Tree) Predict(row []float64) float64 {
 	}
 	for i != 0 {
 		p := t.parent[i]
-		pred = (t.n[i]*pred + t.k*t.evalModel(p, row)) / (t.n[i] + t.k)
+		pred = (float64(t.n[i]*pred) + float64(t.k*t.evalModel(p, row))) / (t.n[i] + t.k) // float64: never fused (FMA)
 		i = p
 	}
 	return pred
@@ -162,7 +162,7 @@ func (t *Tree) evalModel(i int32, row []float64) float64 {
 	coeffs, cols := t.coeffs, t.cols
 	end := t.modelOff[i+1]
 	for j := t.modelOff[i]; j < end; j++ {
-		pred += coeffs[j] * row[cols[j]]
+		pred += float64(coeffs[j] * row[cols[j]]) // float64: never fused (FMA)
 	}
 	return pred
 }

@@ -16,7 +16,8 @@ import (
 )
 
 // Window is a fixed-capacity sliding window over float64 observations with
-// O(1) push and O(1) mean. The zero value is not usable; use NewWindow.
+// O(1) push and O(1) mean. The zero value is not usable; use NewWindow, or
+// WindowOver to lay the window over a slice of a caller's shared block.
 type Window struct {
 	buf   []float64
 	size  int // number of valid observations, <= len(buf)
@@ -32,7 +33,20 @@ func NewWindow(capacity int) *Window {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("sliding: non-positive window capacity %d", capacity))
 	}
-	return &Window{buf: make([]float64, capacity)}
+	w := WindowOver(make([]float64, capacity))
+	return &w
+}
+
+// WindowOver returns an empty window whose ring buffer is buf: its capacity
+// is len(buf), and it owns buf from then on (buf must be zeroed and must not
+// overlap another window's). Many windows laid over one contiguous block keep
+// a stream's whole sliding state in a single allocation. It panics if buf is
+// empty.
+func WindowOver(buf []float64) Window {
+	if len(buf) == 0 {
+		panic("sliding: window over an empty buffer")
+	}
+	return Window{buf: buf}
 }
 
 // Capacity returns the maximum number of observations retained.
@@ -124,7 +138,7 @@ func (w *Window) StdDev() float64 {
 	ss := 0.0
 	for i := 0; i < w.size; i++ {
 		d := w.at(i) - mean
-		ss += d * d
+		ss += float64(d * d) // rounded product: never fused into an FMA
 	}
 	return math.Sqrt(ss / float64(w.size))
 }
@@ -150,7 +164,7 @@ func (w *Window) Reset() {
 // the resource usage is growing (being consumed); a negative speed means it
 // is being released.
 type SpeedTracker struct {
-	window *Window
+	window Window
 
 	havePrev  bool
 	prevTime  float64
@@ -161,7 +175,13 @@ type SpeedTracker struct {
 // NewSpeedTracker returns a tracker whose sliding window holds windowLen
 // speed observations. It panics if windowLen is not positive.
 func NewSpeedTracker(windowLen int) *SpeedTracker {
-	return &SpeedTracker{window: NewWindow(windowLen)}
+	return &SpeedTracker{window: *NewWindow(windowLen)}
+}
+
+// TrackerOver returns a fresh tracker whose sliding window is laid over buf,
+// with WindowOver's ownership rules.
+func TrackerOver(buf []float64) SpeedTracker {
+	return SpeedTracker{window: WindowOver(buf)}
 }
 
 // Observe records the resource level at the given time (seconds). The first
