@@ -31,7 +31,7 @@ func srvActiveSessionsMetric() (float64, bool) {
 func refFirstPrediction(t *testing.T, model *core.Model, seed uint64) (monitor.Checkpoint, core.Prediction) {
 	t.Helper()
 	var cp monitor.Checkpoint
-	if fleet.NewReplay(seed, fleet.Specs(seed, 1)[0]).Step(&cp) {
+	if instance(seed).Step(&cp) {
 		t.Fatal("instance crashed on its first checkpoint")
 	}
 	want, err := model.NewSession().Observe(cp)
@@ -228,6 +228,10 @@ func FuzzBatcherInterleaving(f *testing.F) {
 			script = script[:96]
 		}
 		const conns = 3
+		type pendingPred struct {
+			seq  uint32
+			want core.Prediction
+		}
 		type connState struct {
 			conn    Conn
 			replay  *fleet.Replay
@@ -246,7 +250,7 @@ func FuzzBatcherInterleaving(f *testing.F) {
 				seed := uint64(200 + i)
 				states[i] = &connState{
 					conn:   conn,
-					replay: fleet.NewReplay(seed, fleet.Specs(seed, 1)[0]),
+					replay: instance(seed),
 					ref:    model.NewSession(),
 				}
 			}

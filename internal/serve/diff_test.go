@@ -9,9 +9,7 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"testing"
 	"time"
@@ -29,115 +27,39 @@ func batchedConfig(model *core.Model, batch int) Config {
 	return Config{Model: model, Batch: batch, BatchWindow: 200 * time.Microsecond, BatchShards: 2}
 }
 
-// diffStream replays one fleet instance through any number of served
-// connections plus a local reference, pipelined, and fails the test on the
-// first reply whose bits differ from the reference (or whose sequence number
-// comes back out of order).
-type diffStream struct {
-	model  *core.Model
-	conns  []Conn
-	replay *fleet.Replay
-	ref    *core.Session
-	seq    uint32
-	// pending predictions per staged checkpoint, oldest first.
-	pending []pendingPred
+// instance returns a replay of the seed's one-instance fleet population.
+func instance(seed uint64) *fleet.Replay {
+	return fleet.NewReplay(seed, fleet.Specs(seed, 1)[0])
 }
 
-type pendingPred struct {
-	seq  uint32
-	want core.Prediction
-}
-
-func newDiffStream(model *core.Model, seed uint64, conns ...Conn) *diffStream {
-	return &diffStream{
-		model:  model,
-		conns:  conns,
-		replay: fleet.NewReplay(seed, fleet.Specs(seed, 1)[0]),
-		ref:    model.NewSession(),
-	}
-}
-
-// step advances the replay by one checkpoint: observe on the reference, send
-// to every connection. Returns true when the instance crashed instead (the
-// caller resolves and resets).
-func (d *diffStream) step(t testing.TB) (crashed bool) {
-	t.Helper()
-	var cp monitor.Checkpoint
-	if d.replay.Step(&cp) {
-		return true
-	}
-	d.observe(t, &cp)
-	return false
-}
-
-// observe runs one checkpoint through the reference and sends it to every
-// connection.
-func (d *diffStream) observe(t testing.TB, cp *monitor.Checkpoint) {
-	t.Helper()
-	want, err := d.ref.Observe(*cp)
-	if err != nil {
-		t.Fatalf("reference observe: %v", err)
-	}
-	d.seq++
-	for i, c := range d.conns {
-		if err := c.Send(d.seq, cp); err != nil {
-			t.Fatalf("conn %d send seq %d: %v", i, d.seq, err)
+// play replays src through p, one stream per entry of segments (its length
+// in checkpoint intervals).
+func play(p *Player, src Source, segments ...int) error {
+	for _, ticks := range segments {
+		if err := p.Replay(src, ticks); err != nil {
+			return err
 		}
 	}
-	d.pending = append(d.pending, pendingPred{seq: d.seq, want: want})
+	return nil
 }
 
-// drain collects n pending replies (all of them when n < 0) from every
-// connection, verifying order and bit-identity against the reference.
-func (d *diffStream) drain(t testing.TB, n int) {
-	t.Helper()
-	if n < 0 || n > len(d.pending) {
-		n = len(d.pending)
+// allVerified reports a tally in which some reply went unchecked or differed
+// from its reference.
+func allVerified(t Tally) error {
+	switch {
+	case t.Mismatches > 0:
+		return fmt.Errorf("%d of %d replies differ from the reference; first: %v", t.Mismatches, t.Predictions, t.Mismatch)
+	case t.Predictions == 0 || t.Verified != t.Predictions:
+		return fmt.Errorf("%d of %d replies verified (%d skipped)", t.Verified, t.Predictions, t.Skipped)
 	}
-	for k := 0; k < n; k++ {
-		p := d.pending[k]
-		for i, c := range d.conns {
-			got, err := c.Recv()
-			if err != nil {
-				t.Fatalf("conn %d recv seq %d: %v", i, p.seq, err)
-			}
-			if got.Seq != p.seq {
-				t.Fatalf("conn %d: reply seq %d, want %d (per-session order broken)", i, got.Seq, p.seq)
-			}
-			if math.Float64bits(got.TimeSec) != math.Float64bits(p.want.TimeSec) ||
-				math.Float64bits(got.TTFSec) != math.Float64bits(p.want.TTFSec) ||
-				got.CrashExpected != p.want.CrashExpected {
-				t.Fatalf("conn %d seq %d: served (t=%v ttf=%v crash=%v) != reference (t=%v ttf=%v crash=%v)",
-					i, p.seq, got.TimeSec, got.TTFSec, got.CrashExpected,
-					p.want.TimeSec, p.want.TTFSec, p.want.CrashExpected)
-			}
-		}
-	}
-	d.pending = d.pending[n:]
-}
-
-// boundary drains everything, then resolves and resets every connection and
-// the reference — one crash/rejuvenation stream boundary.
-func (d *diffStream) boundary(t testing.TB, kind ResolveKind, crashTimeSec float64) {
-	t.Helper()
-	d.drain(t, -1)
-	for i, c := range d.conns {
-		if err := c.Resolve(kind, crashTimeSec); err != nil {
-			t.Fatalf("conn %d resolve: %v", i, err)
-		}
-		if err := c.Reset(); err != nil {
-			t.Fatalf("conn %d reset: %v", i, err)
-		}
-	}
-	d.replay.Restart()
-	d.ref = d.model.NewSession()
+	return nil
 }
 
 // longStream replays one fleet instance over and over on a running clock,
 // n checkpoints in all: a stream far longer than any one run-to-crash, with
 // no boundary of its own.
 func longStream(seed uint64, n int) []monitor.Checkpoint {
-	replay := fleet.NewReplay(seed, fleet.Specs(seed, 1)[0])
+	replay := instance(seed)
 	cps := make([]monitor.Checkpoint, 0, n)
 	offset, last := 0.0, 0.0
 	for len(cps) < n {
@@ -157,11 +79,11 @@ func longStream(seed uint64, n int) []monitor.Checkpoint {
 // TestLongConnectionServeDifferential drives one connection per server —
 // scalar and batched, frozen and adaptive — through more than three times
 // the feature windows' 4096-push sum recomputation, with RESETs at uneven
-// positions, and checks every served prediction bit for bit against one
-// local reference session that is recycled through Reset, never rebuilt.
-// The stream segments between RESETs cross the recomputation once and twice
-// in a row, so this pins served bits ≡ local reference and reset ≡ fresh
-// over the wire at lengths the other differentials never reach.
+// positions, and checks every served prediction bit for bit against a local
+// reference session that starts fresh at every RESET. The stream segments
+// between RESETs cross the recomputation once and twice in a row, so this
+// pins served bits ≡ local reference and reset ≡ fresh over the wire at
+// lengths the other differentials never reach.
 func TestLongConnectionServeDifferential(t *testing.T) {
 	model := goldenModel(t)
 	cps := longStream(90, 3*4096+1200)
@@ -181,35 +103,30 @@ func TestLongConnectionServeDifferential(t *testing.T) {
 					cfg.Model, cfg.Supervisor = nil, sup
 				}
 			}
-			var conns []Conn
-			for _, cfg := range []Config{scalarCfg, batchedCfg} {
+			for k, cfg := range []Config{scalarCfg, batchedCfg} {
 				c, err := Dial(startServer(t, cfg).TCPAddr(), "")
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer c.Close()
-				conns = append(conns, c)
-			}
-			d := newDiffStream(model, 0, conns...)
-			for i := range cps {
-				if resets[i] {
-					d.drain(t, -1)
-					for k, c := range conns {
-						if err := c.Resolve(ResolveCensored, 0); err != nil {
-							t.Fatalf("conn %d resolve: %v", k, err)
-						}
-						if err := c.Reset(); err != nil {
-							t.Fatalf("conn %d reset: %v", k, err)
+				p := NewPlayer(c, 32, map[uint32]*core.Model{1: model})
+				for i := range cps {
+					if resets[i] {
+						if err := p.Boundary(ResolveCensored, 0); err != nil {
+							t.Fatalf("conn %d boundary: %v", k, err)
 						}
 					}
-					d.ref.Reset()
+					if err := p.Send(&cps[i]); err != nil {
+						t.Fatalf("conn %d send: %v", k, err)
+					}
 				}
-				d.observe(t, &cps[i])
-				if len(d.pending) >= 32 {
-					d.drain(t, 16)
+				if err := p.Drain(); err != nil {
+					t.Fatalf("conn %d drain: %v", k, err)
+				}
+				if err := allVerified(p.Tally); err != nil {
+					t.Fatalf("conn %d: %v", k, err)
 				}
 			}
-			d.drain(t, -1)
 		})
 	}
 }
@@ -237,43 +154,32 @@ func TestBatchedServeDifferential(t *testing.T) {
 						cfg.Model, cfg.Supervisor = nil, sup
 					}
 				}
-				scalar := startServer(t, scalarCfg)
-				batched := startServer(t, batchedCfg)
-
-				const conns = 4
+				// Four connections per server, each replaying its own instance
+				// as three 100-interval streams with up to 16 checkpoints in
+				// flight; scalar and batched replies are both checked against
+				// the local reference.
 				var wg sync.WaitGroup
-				for w := 0; w < conns; w++ {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
-						seed := uint64(40 + w)
-						sc, err := Dial(scalar.TCPAddr(), "")
-						if err != nil {
-							t.Errorf("conn %d scalar dial: %v", w, err)
-							return
-						}
-						defer sc.Close()
-						bc, err := Dial(batched.TCPAddr(), "")
-						if err != nil {
-							t.Errorf("conn %d batched dial: %v", w, err)
-							return
-						}
-						defer bc.Close()
-						d := newDiffStream(model, seed, sc, bc)
-						for i := 0; i < 300; i++ {
-							if d.step(t) {
-								d.boundary(t, ResolveCrash, d.replay.TimeSec())
-								continue
+				for _, srv := range []*Server{startServer(t, scalarCfg), startServer(t, batchedCfg)} {
+					for w := 0; w < 4; w++ {
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							conn, err := Dial(srv.TCPAddr(), "")
+							if err != nil {
+								t.Errorf("conn %d dial: %v", w, err)
+								return
 							}
-							if len(d.pending) >= 16 {
-								d.drain(t, 8)
+							defer conn.Close()
+							p := NewPlayer(conn, 16, map[uint32]*core.Model{1: model})
+							err = play(p, instance(uint64(40+w)), 100, 100, 100)
+							if err == nil {
+								err = allVerified(p.Tally)
 							}
-							if (i+1)%100 == 0 {
-								d.boundary(t, ResolveCensored, 0)
+							if err != nil {
+								t.Errorf("batch %d conn %d: %v", srv.cfg.Batch, w, err)
 							}
-						}
-						d.drain(t, -1)
-					}(w)
+						}()
+					}
 				}
 				wg.Wait()
 			})
@@ -303,7 +209,7 @@ func TestBatchedHotSwapDifferential(t *testing.T) {
 	swapped := make(chan struct{})
 	for w := 0; w < conns; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			conn, err := Dial(srv.TCPAddr(), "")
 			if err != nil {
@@ -312,122 +218,34 @@ func TestBatchedHotSwapDifferential(t *testing.T) {
 				return
 			}
 			defer conn.Close()
-			seed := uint64(60 + w)
-			replay := fleet.NewReplay(seed, fleet.Specs(seed, 1)[0])
-			ref1, ref2 := m1.NewSession(), m2.NewSession()
-			var cp monitor.Checkpoint
-			seq := uint32(0)
-			type wants struct {
-				seq    uint32
-				w1, w2 core.Prediction
+			src := instance(uint64(60 + w))
+			p := NewPlayer(conn, 12, map[uint32]*core.Model{1: m1, 2: m2})
+			err = play(p, src, 64, 64, 64, 8)
+			if err == nil {
+				err = allVerified(p.Tally)
 			}
-			var pending []wants
-			failed := false
-			drain := func(n int) {
-				if n < 0 || n > len(pending) {
-					n = len(pending)
-				}
-				for k := 0; k < n && !failed; k++ {
-					got, err := conn.Recv()
-					if err != nil {
-						t.Errorf("conn %d recv: %v", w, err)
-						failed = true
-						return
-					}
-					if got.Seq != pending[k].seq {
-						t.Errorf("conn %d: reply seq %d, want %d", w, got.Seq, pending[k].seq)
-						failed = true
-						return
-					}
-					want := pending[k].w1
-					if got.Epoch >= 2 {
-						want = pending[k].w2
-					}
-					if math.Float64bits(got.TTFSec) != math.Float64bits(want.TTFSec) ||
-						math.Float64bits(got.TimeSec) != math.Float64bits(want.TimeSec) {
-						t.Errorf("conn %d seq %d epoch %d: served ttf %v != reference %v",
-							w, got.Seq, got.Epoch, got.TTFSec, want.TTFSec)
-						failed = true
-						return
-					}
-				}
-				pending = pending[n:]
-			}
-			boundary := func(kind ResolveKind, crashTimeSec float64) {
-				drain(-1)
-				conn.Resolve(kind, crashTimeSec)
-				conn.Reset()
-				replay.Restart()
-				ref1, ref2 = m1.NewSession(), m2.NewSession()
-			}
-			for i := 0; i < 200 && !failed; i++ {
-				if replay.Step(&cp) {
-					boundary(ResolveCrash, replay.TimeSec())
-					continue
-				}
-				w1, err1 := ref1.Observe(cp)
-				w2, err2 := ref2.Observe(cp)
-				if err1 != nil || err2 != nil {
-					t.Errorf("conn %d reference observe: %v %v", w, err1, err2)
-					failed = true
-					break
-				}
-				seq++
-				if err := conn.Send(seq, &cp); err != nil {
-					t.Errorf("conn %d send: %v", w, err)
-					failed = true
-					break
-				}
-				pending = append(pending, wants{seq: seq, w1: w1, w2: w2})
-				if len(pending) >= 12 {
-					drain(6)
-				}
-				if (i+1)%64 == 0 {
-					boundary(ResolveCensored, 0)
-				}
-			}
-			drain(-1)
 			phase1.Done()
-			if failed {
+			if err != nil {
+				t.Errorf("conn %d: %v", w, err)
 				return
 			}
 			// Phase 2: the swap has been published; the boundary reset adopts
-			// it, and from here every reply must carry epoch 2 with bits of a
+			// it, and from here every reply must carry epoch 2 (an epoch-1
+			// reply has no reference and counts as skipped) with bits of a
 			// fresh m2 session.
 			<-swapped
-			boundary(ResolveCensored, 0)
-			for i := 0; i < 64 && !failed; i++ {
-				if replay.Step(&cp) {
-					boundary(ResolveCrash, replay.TimeSec())
-					continue
-				}
-				want, err := ref2.Observe(cp)
-				if err != nil {
-					t.Errorf("conn %d m2 reference observe: %v", w, err)
-					return
-				}
-				ref1.Observe(cp) // keep the pair in lockstep for boundary()
-				seq++
-				if err := conn.Send(seq, &cp); err != nil {
-					t.Errorf("conn %d post-swap send: %v", w, err)
-					return
-				}
-				got, err := conn.Recv()
-				if err != nil {
-					t.Errorf("conn %d post-swap recv: %v", w, err)
-					return
-				}
-				if got.Epoch != 2 {
-					t.Errorf("conn %d post-swap reply on epoch %d, want 2", w, got.Epoch)
-					return
-				}
-				if math.Float64bits(got.TTFSec) != math.Float64bits(want.TTFSec) {
-					t.Errorf("conn %d post-swap seq %d: served ttf %v != m2 reference %v",
-						w, got.Seq, got.TTFSec, want.TTFSec)
-					return
-				}
+			p.SetRefs(map[uint32]*core.Model{2: m2})
+			err = p.Boundary(ResolveCensored, 0)
+			if err == nil {
+				err = p.Replay(src, 64)
 			}
-		}(w)
+			if err == nil {
+				err = allVerified(p.Tally)
+			}
+			if err != nil {
+				t.Errorf("conn %d post-swap: %v", w, err)
+			}
+		}()
 	}
 	phase1.Wait()
 	if !t.Failed() {
@@ -456,7 +274,7 @@ func TestBatchedRaceStress(t *testing.T) {
 	var wg sync.WaitGroup
 	for w := 0; w < conns; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			conn, err := Dial(srv.TCPAddr(), "")
 			if err != nil {
@@ -464,63 +282,21 @@ func TestBatchedRaceStress(t *testing.T) {
 				return
 			}
 			defer conn.Close()
-			seed := uint64(80 + w)
-			replay := fleet.NewReplay(seed, fleet.Specs(seed, 1)[0])
-			ref1, ref2 := m1.NewSession(), m2.NewSession()
-			var cp monitor.Checkpoint
-			seq := uint32(0)
-			for i := 0; ; i++ {
-				if crashed := replay.Step(&cp); crashed {
-					conn.Resolve(ResolveCrash, replay.TimeSec())
-					if err := conn.Reset(); err != nil {
-						return
-					}
-					replay.Restart()
-					ref1, ref2 = m1.NewSession(), m2.NewSession()
-					continue
-				}
-				w1, _ := ref1.Observe(cp)
-				w2, _ := ref2.Observe(cp)
-				seq++
-				if err := conn.Send(seq, &cp); err != nil {
-					return // drain raced the write; the refusal check below is done
-				}
-				got, err := conn.Recv()
-				if err != nil {
-					var se *ServerError
-					if errors.As(err, &se) && se.Code == ErrCodeDraining && srv.Draining() {
-						return // clean drain refusal mid-stream
-					}
-					if srv.Draining() {
-						return // connection torn down by drain completion
-					}
-					t.Errorf("conn %d recv seq %d: %v", w, seq, err)
-					return
-				}
-				want := w1
-				if got.Epoch >= 2 {
-					want = w2
-				}
-				if math.Float64bits(got.TTFSec) != math.Float64bits(want.TTFSec) {
-					t.Errorf("conn %d seq %d epoch %d: ttf %v != reference %v",
-						w, got.Seq, got.Epoch, got.TTFSec, want.TTFSec)
-					return
-				}
-				if i%17 == 16 {
-					// Go quiet past the batch window so the deadline flush path
-					// runs under load, not just the size path.
-					time.Sleep(300 * time.Microsecond)
-				}
-				if i%50 == 49 {
-					conn.Resolve(ResolveCensored, 0)
-					if err := conn.Reset(); err != nil {
-						return
-					}
-					replay.Restart()
-					ref1, ref2 = m1.NewSession(), m2.NewSession()
-				}
+			// Lockstep 50-interval streams until the drain ends the run.
+			p := NewPlayer(conn, 1, map[uint32]*core.Model{1: m1, 2: m2})
+			src := &pausingSource{Replay: instance(uint64(80 + w))}
+			for err == nil {
+				err = p.Replay(src, 50)
 			}
-		}(w)
+			if !srv.Draining() {
+				// Drain refusals and torn-down connections end the run
+				// cleanly; anything before the drain is a failure.
+				t.Errorf("conn %d: %v", w, err)
+			}
+			if p.Mismatches > 0 {
+				t.Errorf("conn %d: %d mismatches; first: %v", w, p.Mismatches, p.Mismatch)
+			}
+		}()
 	}
 
 	time.Sleep(50 * time.Millisecond)
@@ -541,4 +317,18 @@ func TestBatchedRaceStress(t *testing.T) {
 	if v, ok := srvActiveSessionsMetric(); !ok || v != 0 {
 		t.Fatalf("agingpred_serve_sessions_active after drain: %v (ok=%v), want 0", v, ok)
 	}
+}
+
+// pausingSource goes quiet past the batch window every 17th interval, so the
+// deadline flush path runs under load, not just the size path.
+type pausingSource struct {
+	*fleet.Replay
+	steps int
+}
+
+func (s *pausingSource) Step(cp *monitor.Checkpoint) bool {
+	if s.steps++; s.steps%17 == 0 {
+		time.Sleep(300 * time.Microsecond)
+	}
+	return s.Replay.Step(cp)
 }

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"agingpred/internal/fleet"
 	"agingpred/internal/monitor"
 )
 
@@ -273,7 +272,7 @@ func batchedTranscriptBodies(f *testing.F) [][]byte {
 
 	send(&Frame{Type: FrameHello, Version: ProtocolVersion})
 	recv(FrameWelcome)
-	replay := fleet.NewReplay(1, fleet.Specs(1, 1)[0])
+	replay := instance(1)
 	var seq uint32
 	for n := 0; n < 40; n++ {
 		var cp monitor.Checkpoint

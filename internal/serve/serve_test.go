@@ -10,7 +10,6 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
@@ -81,55 +80,25 @@ func dialBoth(t *testing.T, srv *Server) map[string]Conn {
 // transports: every prediction that comes back over the wire must carry
 // exactly the float64 bits a local reference session produces for the same
 // checkpoint stream — including across a RESOLVE/RESET cycle, which by the
-// wire contract behaves like a brand-new connection.
+// wire contract behaves like a brand-new connection (the player holds the
+// reference to it with a genuinely new session).
 func TestServeBitIdentical(t *testing.T) {
 	model := goldenModel(t)
 	srv := startServer(t, Config{Model: model})
-	spec := fleet.Specs(11, 1)[0]
 
 	for name, conn := range dialBoth(t, srv) {
 		t.Run(name, func(t *testing.T) {
 			defer conn.Close()
-			replay := fleet.NewReplay(11, spec)
-			ref := model.NewSession()
-			var cp monitor.Checkpoint
-			for phase := 0; phase < 2; phase++ {
-				for i := 1; i <= 64; i++ {
-					if replay.Step(&cp) {
-						t.Fatalf("phase %d: instance crashed during the test window", phase)
-					}
-					want, err := ref.Observe(cp)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := conn.Send(uint32(i), &cp); err != nil {
-						t.Fatal(err)
-					}
-					got, err := conn.Recv()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got.Seq != uint32(i) {
-						t.Fatalf("phase %d seq %d: echoed seq %d", phase, i, got.Seq)
-					}
-					if math.Float64bits(got.TimeSec) != math.Float64bits(want.TimeSec) ||
-						math.Float64bits(got.TTFSec) != math.Float64bits(want.TTFSec) ||
-						got.CrashExpected != want.CrashExpected {
-						t.Fatalf("phase %d seq %d: served (t=%v ttf=%v crash=%v) != local (t=%v ttf=%v crash=%v)",
-							phase, i, got.TimeSec, got.TTFSec, got.CrashExpected,
-							want.TimeSec, want.TTFSec, want.CrashExpected)
-					}
-				}
-				// Stream boundary: resolve, reset server-side, and hold the
-				// reference to the same contract with a genuinely new session.
-				if err := conn.Resolve(ResolveCensored, 0); err != nil {
-					t.Fatal(err)
-				}
-				if err := conn.Reset(); err != nil {
-					t.Fatal(err)
-				}
-				replay.Restart()
-				ref = model.NewSession()
+			// Two lockstep 64-checkpoint streams of one instance.
+			p := NewPlayer(conn, 1, map[uint32]*core.Model{1: model})
+			if err := play(p, instance(11), 64, 64); err != nil {
+				t.Fatal(err)
+			}
+			if p.Crashes > 0 {
+				t.Fatalf("instance crashed %d times during the test window", p.Crashes)
+			}
+			if err := allVerified(p.Tally); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}
@@ -373,7 +342,7 @@ func TestHotSwapAtReset(t *testing.T) {
 		t.Fatalf("handshake epoch: %d", conn.Epoch())
 	}
 
-	replay := fleet.NewReplay(3, fleet.Specs(3, 1)[0])
+	replay := instance(3)
 	var cp monitor.Checkpoint
 	step := func(seq uint32) Prediction {
 		t.Helper()
@@ -434,7 +403,8 @@ func TestHotSwapAtReset(t *testing.T) {
 // transports hammering one adaptive Supervisor while its pump retrains and
 // publishes, with crash resolutions and resets in the mix.
 func TestAdaptiveConcurrent(t *testing.T) {
-	sup, err := adapt.NewSupervisor(adapt.Config{MinFreshRuns: 2}, goldenModel(t))
+	model := goldenModel(t)
+	sup, err := adapt.NewSupervisor(adapt.Config{MinFreshRuns: 2}, model)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,62 +413,37 @@ func TestAdaptiveConcurrent(t *testing.T) {
 		t.Fatal("server not adaptive")
 	}
 
+	// Lockstep streams of up to 64 intervals on every connection. Replies
+	// from the starting epoch must carry the seed model's bits; retrained
+	// epochs have no local reference and count as skipped.
 	const conns = 8
 	var wg sync.WaitGroup
-	errs := make(chan error, conns)
 	for w := 0; w < conns; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			errs <- func() error {
-				var conn Conn
-				var err error
-				if w%2 == 0 {
-					conn, err = Dial(srv.TCPAddr(), "")
-				} else {
-					conn, err = DialHTTP("http://"+srv.HTTPAddr(), "")
-				}
-				if err != nil {
-					return fmt.Errorf("conn %d: %w", w, err)
-				}
-				defer conn.Close()
-				replay := fleet.NewReplay(uint64(100+w), fleet.Specs(uint64(100+w), 1)[0])
-				var cp monitor.Checkpoint
-				for i := uint32(1); i <= 200; i++ {
-					crashed := replay.Step(&cp)
-					if !crashed {
-						if err := conn.Send(i, &cp); err != nil {
-							return fmt.Errorf("conn %d send %d: %w", w, i, err)
-						}
-						if _, err := conn.Recv(); err != nil {
-							return fmt.Errorf("conn %d recv %d: %w", w, i, err)
-						}
-					}
-					if crashed || i%64 == 0 {
-						kind, ts := ResolveCensored, 0.0
-						if crashed {
-							kind, ts = ResolveCrash, replay.TimeSec()
-						}
-						if err := conn.Resolve(kind, ts); err != nil {
-							return fmt.Errorf("conn %d resolve: %w", w, err)
-						}
-						if err := conn.Reset(); err != nil {
-							return fmt.Errorf("conn %d reset: %w", w, err)
-						}
-						replay.Restart()
-					}
-				}
-				return nil
-			}()
-		}(w)
+			var conn Conn
+			var err error
+			if w%2 == 0 {
+				conn, err = Dial(srv.TCPAddr(), "")
+			} else {
+				conn, err = DialHTTP("http://"+srv.HTTPAddr(), "")
+			}
+			if err != nil {
+				t.Errorf("conn %d: %v", w, err)
+				return
+			}
+			defer conn.Close()
+			p := NewPlayer(conn, 1, map[uint32]*core.Model{1: model})
+			if err := play(p, instance(uint64(100+w)), 64, 64, 64, 8); err != nil {
+				t.Errorf("conn %d: %v", w, err)
+			}
+			if p.Mismatches > 0 {
+				t.Errorf("conn %d: %d mismatches; first: %v", w, p.Mismatches, p.Mismatch)
+			}
+		}()
 	}
 	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			t.Error(err)
-		}
-	}
 }
 
 // TestCRCIsIEEE pins the checksum choice into the wire contract: third-party

@@ -10,10 +10,7 @@
 // delay in experiment 4.2).
 package sliding
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Window is a fixed-capacity sliding window over float64 observations with
 // O(1) push and O(1) mean. The zero value is not usable; use NewWindow, or
@@ -49,18 +46,8 @@ func WindowOver(buf []float64) Window {
 	return Window{buf: buf}
 }
 
-// Capacity returns the maximum number of observations retained.
-func (w *Window) Capacity() int { return len(w.buf) }
-
 // Len returns the number of observations currently in the window.
 func (w *Window) Len() int { return w.size }
-
-// Total returns the number of observations pushed since the window was
-// constructed or last Reset.
-func (w *Window) Total() uint64 { return w.total }
-
-// Full reports whether the window holds Capacity observations.
-func (w *Window) Full() bool { return w.size == len(w.buf) }
 
 // Push adds an observation, evicting the oldest one if the window is full.
 func (w *Window) Push(v float64) {
@@ -119,30 +106,6 @@ func (w *Window) Last() float64 {
 	return w.at(w.size - 1)
 }
 
-// Values returns the observations from oldest to newest.
-func (w *Window) Values() []float64 {
-	out := make([]float64, w.size)
-	for i := 0; i < w.size; i++ {
-		out[i] = w.at(i)
-	}
-	return out
-}
-
-// StdDev returns the (population) standard deviation of the window contents,
-// or 0 if the window holds fewer than two observations.
-func (w *Window) StdDev() float64 {
-	if w.size < 2 {
-		return 0
-	}
-	mean := w.Mean()
-	ss := 0.0
-	for i := 0; i < w.size; i++ {
-		d := w.at(i) - mean
-		ss += float64(d * d) // rounded product: never fused into an FMA
-	}
-	return math.Sqrt(ss / float64(w.size))
-}
-
 // Reset empties the window. The push count restarts too, so the periodic
 // sum recomputation runs in phase with a fresh window's and a reset window
 // is bit-for-bit a fresh one.
@@ -169,7 +132,6 @@ type SpeedTracker struct {
 	havePrev  bool
 	prevTime  float64
 	prevLevel float64
-	lastSpeed float64
 }
 
 // NewSpeedTracker returns a tracker whose sliding window holds windowLen
@@ -208,27 +170,15 @@ func (t *SpeedTracker) Observe(timeSec, level float64) error {
 	if timeSec == t.prevTime {
 		return nil
 	}
-	speed := (level - t.prevLevel) / (timeSec - t.prevTime)
-	t.lastSpeed = speed
-	t.window.Push(speed)
+	t.window.Push((level - t.prevLevel) / (timeSec - t.prevTime))
 	t.prevTime = timeSec
 	t.prevLevel = level
 	return nil
 }
 
-// Speed returns the most recent instantaneous consumption speed, or 0 before
-// two observations have been made.
-func (t *SpeedTracker) Speed() float64 { return t.lastSpeed }
-
 // SWA returns the sliding-window average of the consumption speed. This is
 // the "SWA variation" family of variables in Table 2.
 func (t *SpeedTracker) SWA() float64 { return t.window.Mean() }
-
-// Samples returns the number of speed samples currently in the window.
-func (t *SpeedTracker) Samples() int { return t.window.Len() }
-
-// Level returns the most recently observed resource level.
-func (t *SpeedTracker) Level() float64 { return t.prevLevel }
 
 // Reset clears all state, as if the tracker were freshly constructed.
 func (t *SpeedTracker) Reset() {
@@ -236,7 +186,6 @@ func (t *SpeedTracker) Reset() {
 	t.havePrev = false
 	t.prevTime = 0
 	t.prevLevel = 0
-	t.lastSpeed = 0
 }
 
 // safeDivLimit bounds the ratio features when the denominator approaches

@@ -7,6 +7,15 @@ import (
 	"testing/quick"
 )
 
+// values returns the window's observations from oldest to newest.
+func values(w *Window) []float64 {
+	out := make([]float64, w.size)
+	for i := range out {
+		out[i] = w.at(i)
+	}
+	return out
+}
+
 func TestNewWindowPanicsOnBadCapacity(t *testing.T) {
 	for _, c := range []int{0, -1} {
 		func() {
@@ -30,7 +39,7 @@ func TestWindowMeanBeforeFull(t *testing.T) {
 	if got := w.Mean(); got != 3 {
 		t.Fatalf("Mean of [2 4] = %v, want 3", got)
 	}
-	if w.Full() {
+	if w.size == len(w.buf) {
 		t.Fatalf("window reported full with 2/4 observations")
 	}
 }
@@ -40,7 +49,7 @@ func TestWindowEviction(t *testing.T) {
 	for _, v := range []float64{1, 2, 3, 4, 5} {
 		w.Push(v)
 	}
-	if !w.Full() {
+	if w.size != len(w.buf) {
 		t.Fatalf("window not full after 5 pushes")
 	}
 	if got := w.Mean(); got != 4 {
@@ -49,39 +58,15 @@ func TestWindowEviction(t *testing.T) {
 	if got := w.Last(); got != 5 {
 		t.Fatalf("Last = %v, want 5", got)
 	}
-	vals := w.Values()
+	vals := values(w)
 	want := []float64{3, 4, 5}
 	for i := range want {
 		if vals[i] != want[i] {
-			t.Fatalf("Values() = %v, want %v", vals, want)
+			t.Fatalf("values = %v, want %v", vals, want)
 		}
 	}
-	if w.Total() != 5 {
-		t.Fatalf("Total = %d, want 5", w.Total())
-	}
-}
-
-func TestWindowStdDev(t *testing.T) {
-	w := NewWindow(10)
-	if got := w.StdDev(); got != 0 {
-		t.Fatalf("StdDev of empty window = %v", got)
-	}
-	w.Push(5)
-	if got := w.StdDev(); got != 0 {
-		t.Fatalf("StdDev of single observation = %v", got)
-	}
-	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		w.Push(v)
-	}
-	// Window holds 9 values: 5,2,4,4,4,5,5,7,9.
-	mean := w.Mean()
-	var ss float64
-	for _, v := range w.Values() {
-		ss += (v - mean) * (v - mean)
-	}
-	want := math.Sqrt(ss / 9)
-	if math.Abs(w.StdDev()-want) > 1e-12 {
-		t.Fatalf("StdDev = %v, want %v", w.StdDev(), want)
+	if w.total != 5 {
+		t.Fatalf("total = %d, want 5", w.total)
 	}
 }
 
@@ -106,7 +91,7 @@ func TestWindowSumRecomputationStability(t *testing.T) {
 	for i := 0; i < 100000; i++ {
 		w.Push(1e9 + float64(i%7))
 	}
-	vals := w.Values()
+	vals := values(w)
 	sum := 0.0
 	for _, v := range vals {
 		sum += v
@@ -119,7 +104,7 @@ func TestWindowSumRecomputationStability(t *testing.T) {
 
 func TestSpeedTrackerBasics(t *testing.T) {
 	tr := NewSpeedTracker(4)
-	if tr.Speed() != 0 || tr.SWA() != 0 || tr.Samples() != 0 {
+	if tr.window.Last() != 0 || tr.SWA() != 0 || tr.window.Len() != 0 {
 		t.Fatalf("fresh tracker not zeroed")
 	}
 	// Resource grows 10 units every 15 seconds.
@@ -129,17 +114,17 @@ func TestSpeedTrackerBasics(t *testing.T) {
 		}
 	}
 	wantSpeed := 10.0 / 15.0
-	if math.Abs(tr.Speed()-wantSpeed) > 1e-12 {
-		t.Fatalf("Speed = %v, want %v", tr.Speed(), wantSpeed)
+	if math.Abs(tr.window.Last()-wantSpeed) > 1e-12 {
+		t.Fatalf("last speed = %v, want %v", tr.window.Last(), wantSpeed)
 	}
 	if math.Abs(tr.SWA()-wantSpeed) > 1e-12 {
 		t.Fatalf("SWA = %v, want %v", tr.SWA(), wantSpeed)
 	}
-	if tr.Samples() != 4 {
-		t.Fatalf("Samples = %d, want 4 (window capacity)", tr.Samples())
+	if tr.window.Len() != 4 {
+		t.Fatalf("speed samples = %d, want 4 (window capacity)", tr.window.Len())
 	}
-	if tr.Level() != 50 {
-		t.Fatalf("Level = %v, want 50", tr.Level())
+	if tr.prevLevel != 50 {
+		t.Fatalf("level = %v, want 50", tr.prevLevel)
 	}
 }
 
@@ -160,11 +145,11 @@ func TestSpeedTrackerSWASmoothsChanges(t *testing.T) {
 	_ = tr.Observe(now, level)
 	// One fast sample out of four: the SWA moves toward 5 but lags the
 	// instantaneous speed — this is the delay the paper discusses.
-	if tr.Speed() != 5 {
-		t.Fatalf("instantaneous speed = %v, want 5", tr.Speed())
+	if tr.window.Last() != 5 {
+		t.Fatalf("instantaneous speed = %v, want 5", tr.window.Last())
 	}
-	if !(tr.SWA() > swaBefore && tr.SWA() < tr.Speed()) {
-		t.Fatalf("SWA = %v, want between %v and %v", tr.SWA(), swaBefore, tr.Speed())
+	if !(tr.SWA() > swaBefore && tr.SWA() < tr.window.Last()) {
+		t.Fatalf("SWA = %v, want between %v and %v", tr.SWA(), swaBefore, tr.window.Last())
 	}
 }
 
@@ -172,8 +157,8 @@ func TestSpeedTrackerNegativeSpeedOnRelease(t *testing.T) {
 	tr := NewSpeedTracker(8)
 	_ = tr.Observe(0, 100)
 	_ = tr.Observe(10, 50)
-	if tr.Speed() >= 0 {
-		t.Fatalf("releasing resource should yield negative speed, got %v", tr.Speed())
+	if tr.window.Last() >= 0 {
+		t.Fatalf("releasing resource should yield negative speed, got %v", tr.window.Last())
 	}
 }
 
@@ -195,7 +180,7 @@ func TestSpeedTrackerErrors(t *testing.T) {
 	if err := tr.Observe(10, 99); err != nil {
 		t.Fatalf("Observe at same instant: %v", err)
 	}
-	if tr.Samples() != 0 {
+	if tr.window.Len() != 0 {
 		t.Fatalf("same-instant observation produced a speed sample")
 	}
 }
@@ -205,12 +190,12 @@ func TestSpeedTrackerReset(t *testing.T) {
 	_ = tr.Observe(0, 0)
 	_ = tr.Observe(1, 10)
 	tr.Reset()
-	if tr.Speed() != 0 || tr.SWA() != 0 || tr.Samples() != 0 || tr.Level() != 0 {
+	if tr.window.Last() != 0 || tr.SWA() != 0 || tr.window.Len() != 0 || tr.prevLevel != 0 {
 		t.Fatalf("Reset did not clear tracker state")
 	}
 	// After reset the first observation only primes again.
 	_ = tr.Observe(100, 5)
-	if tr.Samples() != 0 {
+	if tr.window.Len() != 0 {
 		t.Fatalf("first observation after Reset produced a speed sample")
 	}
 }
@@ -264,7 +249,7 @@ func TestTimeToExhaustion(t *testing.T) {
 }
 
 // Property: the window mean always lies between the min and max of the
-// retained values, and equals the brute-force mean of Values().
+// retained values, and equals the brute-force mean of values(w).
 func TestWindowMeanBoundsProperty(t *testing.T) {
 	f := func(vals []float64, capSeed uint8) bool {
 		capacity := int(capSeed%16) + 1
@@ -275,7 +260,7 @@ func TestWindowMeanBoundsProperty(t *testing.T) {
 			}
 			w.Push(v)
 		}
-		retained := w.Values()
+		retained := values(w)
 		if len(retained) == 0 {
 			return w.Mean() == 0
 		}
@@ -342,11 +327,9 @@ func TestWindowResetIsFresh(t *testing.T) {
 				reused.Push(v)
 				fresh.Push(v)
 				if math.Float64bits(reused.Mean()) != math.Float64bits(fresh.Mean()) ||
-					math.Float64bits(reused.StdDev()) != math.Float64bits(fresh.StdDev()) ||
-					reused.Total() != fresh.Total() {
-					t.Fatalf("capacity %d, reset after %d pushes: push %d gives mean %v sd %v total %d, fresh window %v %v %d",
-						capacity, prefix, i+1, reused.Mean(), reused.StdDev(), reused.Total(),
-						fresh.Mean(), fresh.StdDev(), fresh.Total())
+					reused.total != fresh.total {
+					t.Fatalf("capacity %d, reset after %d pushes: push %d gives mean %v total %d, fresh window %v %d",
+						capacity, prefix, i+1, reused.Mean(), reused.total, fresh.Mean(), fresh.total)
 				}
 			}
 		}
@@ -378,7 +361,7 @@ func TestSpeedTrackerResetIsFresh(t *testing.T) {
 				t.Fatal(err)
 			}
 			if math.Float64bits(reused.SWA()) != math.Float64bits(fresh.SWA()) ||
-				math.Float64bits(reused.Speed()) != math.Float64bits(fresh.Speed()) {
+				math.Float64bits(reused.window.Last()) != math.Float64bits(fresh.window.Last()) {
 				t.Fatalf("reset after %d speed samples: observation %d gives SWA %v, fresh tracker %v",
 					prefix, i, reused.SWA(), fresh.SWA())
 			}
